@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import hashlib
 import os
+import tempfile
 from collections.abc import Callable
 from typing import Any
 
@@ -54,7 +55,7 @@ def _corpus_from_documents(sf_dir: str) -> str:
     tag = hashlib.md5(
         f"{sf_dir}:{st.st_size}:{int(st.st_mtime)}".encode()
     ).hexdigest()[:10]
-    out = f"/tmp/probe_ray_corpus_{tag}.parquet"
+    out = os.path.join(tempfile.gettempdir(), f"probe_ray_corpus_{tag}.parquet")
     if os.path.exists(out):
         return out
     t = pq.read_table(f"{sf_dir}/documents.parquet")
@@ -86,7 +87,8 @@ def _engine_for(sf_dir: str):
     tag = os.path.basename(corpus).replace("probe_ray_corpus_", "").replace(
         ".parquet", ""
     )
-    paths = build_index(corpus, f"/tmp/probe_ray_index_{tag}", ngram_index=True)
+    index_dir = os.path.join(tempfile.gettempdir(), f"probe_ray_index_{tag}")
+    paths = build_index(corpus, index_dir, ngram_index=True)
     return Engine(paths)
 
 
@@ -279,7 +281,7 @@ def _probe_search_blocks_ast(sf_dir: str):
     from probe_ray.corpus import generate_rows
     from probe_ray.search import Engine
 
-    out = "/tmp/probe_ray_ast_corpus_t1.parquet"
+    out = os.path.join(tempfile.gettempdir(), "probe_ray_ast_corpus_t1.parquet")
     if not os.path.exists(out):
         tmp = f"{out}.tmp{os.getpid()}"
         pq.write_table(pa.Table.from_pylist(generate_rows("t1")), tmp)
@@ -287,7 +289,8 @@ def _probe_search_blocks_ast(sf_dir: str):
             os.rename(tmp, out)
         except OSError:
             os.unlink(tmp)
-    eng = Engine(build_index(out, "/tmp/probe_ray_ast_index_t1"))
+    index_dir = os.path.join(tempfile.gettempdir(), "probe_ray_ast_index_t1")
+    eng = Engine(build_index(out, index_dir))
     tbl = eng.search_blocks(["keywordAlpha OR keywordBeta"])
     return tbl.drop_columns(["code"])
 

@@ -1,7 +1,7 @@
 """Benchmark harness.
 
-Default: runs the headline pipelines over $GRAFT_SF_DIR (default
-/root/testdata/sf0.1) with ray.init(num_cpus=$RAY_GRAFT_CPUS or 32) and
+Default: runs the headline pipelines over $GRAFT_SF_DIR (default: SF_DIR
+below) with ray.init(num_cpus=$RAY_GRAFT_CPUS or the host's CPU count) and
 prints ONE JSON line:
   {"metric": ..., "value": total_sec, "unit": "sec", "queries": {...},
    "sf": ..., "num_cpus": N}
@@ -13,16 +13,20 @@ plus scaling efficiency = (T_8 / T_32) / 4 (1.0 = linear).
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import subprocess
 import sys
+import tempfile
 import time
 
 SF_DIR = os.environ.get("GRAFT_SF_DIR", "/root/testdata/sf0.1")
-NUM_CPUS = int(os.environ.get("RAY_GRAFT_CPUS", "32"))
-BENCH_CORPUS = "/tmp/probe_ray_bench_corpus"
+NUM_CPUS = int(os.environ.get("RAY_GRAFT_CPUS") or os.cpu_count())
+BENCH_CORPUS = os.path.join(tempfile.gettempdir(), "probe_ray_bench_corpus")
 BENCH_SIZE = os.environ.get("PROBE_RAY_BENCH_SIZE", "bench")  # 32,768 files
+BENCH_SEED = 42
+BENCH_INDEX = os.path.join(tempfile.gettempdir(), "probe_ray_bench_index")
 
 
 def _quiet_ray():
@@ -43,21 +47,31 @@ def _quiet_ray():
     logging.getLogger("ray.data").setLevel(logging.ERROR)
 
 
+def _marker(d: str) -> str:
+    """Path of the marker that says ``d`` holds a complete bench corpus. Its
+    name hashes the generator's source, the size and the seed, so a change
+    to any of them regenerates the corpus."""
+    from probe_ray import corpus
+
+    with open(corpus.__file__, "rb") as f:
+        h = hashlib.md5(f.read() + f":{BENCH_SIZE}:{BENCH_SEED}".encode())
+    return os.path.join(d, f".complete_{h.hexdigest()[:16]}")
+
+
 def _ensure_bench_corpus() -> tuple[str, int]:
-    """Deterministic synthetic code corpus (probe_ray.corpus, seed=42),
+    """Deterministic synthetic code corpus (probe_ray.corpus at BENCH_SEED),
     written once as multi-file parquet so the read parallelizes."""
     from probe_ray.corpus import SIZES, write_corpus
 
     n_repos, fpr = SIZES[BENCH_SIZE]
     n_files = n_repos * fpr
-    marker = os.path.join(BENCH_CORPUS, f".complete_{BENCH_SIZE}")
-    if not os.path.exists(marker):
+    if not os.path.exists(_marker(BENCH_CORPUS)):
         import shutil
 
         if os.path.exists(BENCH_CORPUS):
             shutil.rmtree(BENCH_CORPUS)
-        write_corpus(BENCH_CORPUS, BENCH_SIZE, num_files=64)
-        open(marker, "w").write("ok")
+        write_corpus(BENCH_CORPUS, BENCH_SIZE, seed=BENCH_SEED, num_files=64)
+        open(_marker(BENCH_CORPUS), "w").close()
     return BENCH_CORPUS, n_files
 
 
@@ -81,7 +95,7 @@ def run_bench() -> dict:
         lambda b: b.slice(0, 1), batch_format="pyarrow"
     ).count()
     t0 = time.time()
-    paths = build_index(corpus_dir, "/tmp/probe_ray_bench_index", overwrite=True)
+    paths = build_index(corpus_dir, BENCH_INDEX, overwrite=True)
     build_sec = time.time() - t0
     results["index_build_sec"] = round(build_sec, 3)
     results["index_build_files_per_sec"] = round(n_files / build_sec, 1)
@@ -176,7 +190,7 @@ def run_bench() -> dict:
     # dictionary-scan path (VERDICT item 3 comparison)
     t0 = time.time()
     paths_ng = build_index(
-        corpus_dir, "/tmp/probe_ray_bench_index_ng", overwrite=True,
+        corpus_dir, BENCH_INDEX + "_ng", overwrite=True,
         ngram_index=True,
     )
     results["index_build_with_ngram_sec"] = round(time.time() - t0, 3)
@@ -201,7 +215,7 @@ def run_bench() -> dict:
     import pyarrow.parquet as _pq
 
     aug_dir = BENCH_CORPUS + "_aug"
-    if not os.path.exists(os.path.join(aug_dir, ".complete")):
+    if not os.path.exists(_marker(aug_dir)):
         import shutil
 
         if os.path.exists(aug_dir):
@@ -230,11 +244,11 @@ def run_bench() -> dict:
             ]),
             os.path.join(aug_dir, "zz_update.parquet"),
         )
-        open(os.path.join(aug_dir, ".complete"), "w").write("ok")
+        open(_marker(aug_dir), "w").close()
     from probe_ray.build import update_index
 
     t0 = time.time()
-    update_index(aug_dir, "/tmp/probe_ray_bench_index")
+    update_index(aug_dir, BENCH_INDEX)
     results["index_update_5pct_sec"] = round(time.time() - t0, 3)
 
     # 3) documents-table pipelines at $GRAFT_SF_DIR

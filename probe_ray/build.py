@@ -1489,21 +1489,16 @@ def update_index(corpus, out_dir: str, *, batch_size: int = 256,
             # triple is an addition
             tagged_keys = new_keys
 
-        # classify keys VECTORIZED inside a bounded number of coarse partitions
-        # (the minhash coarse_members pattern): a per-(repo,path) map_groups
-        # would make one Python group call PER FILE — O(corpus) driver-style
-        # Python at 10^12-file scale. Here each partition resolves its keys
-        # with one pandas outer merge (indicator) + one crosstab.
-        _DIFF_COARSE = 64  # classify is vectorized per partition; fewer,
-        # larger groups beat per-task dispatch overhead (still thousands of
-        # keys per partition headroom at 1e9-doc scale: bytes per partition =
-        # corpus_keys/64, itself bounded by the narrow 4-string-column schema)
-
-        def add_pg(batch: pa.Table) -> pa.Table:
+        # classify keys VECTORIZED once per block of the key-hash sort: the
+        # sort range-partitions, so every (repo, path, commit) key's rows
+        # share one block, and each block resolves all its keys with one
+        # np.unique pass (a per-key map_groups would make one Python call
+        # PER FILE — O(corpus) driver-style Python at 10^12-file scale)
+        def add_key_hash(batch: pa.Table) -> pa.Table:
             # the hashed key must be NUL-FREE: pandas' siphash truncates object
             # strings at \x00 on the multi-element path but not the 1-element
-            # path, so the same key can land in different partitions depending
-            # on batch shape (observed; classify would then see one side only
+            # path, so the same key can get different hashes depending on
+            # batch shape (observed; classify would then see one side only
             # and report phantom added+removed pairs). \x1f keeps (repo, path)
             # joined unambiguously for dispersion; exactness lives in classify.
             key = pd.Series(
@@ -1517,20 +1512,16 @@ def update_index(corpus, out_dir: str, *, batch_size: int = 256,
                     pattern="\x00", replacement="\x1f",
                 ).to_pandas()
             )
-            pg = (
-                pd.util.hash_pandas_object(key, index=False).to_numpy()
-                % _DIFF_COARSE
-            ).astype(np.int64)
-            return batch.append_column("pg", pa.array(pg, pa.int64()))
+            kh = pd.util.hash_pandas_object(key, index=False).to_numpy()
+            return batch.append_column(
+                "kh", pa.array(kh.view(np.int64), pa.int64())
+            )
 
         def classify_part(g: pd.DataFrame) -> pd.DataFrame:
             # per (key, sha): which sides carry it -> per key: same iff every
             # pair is on both sides (set equality); added iff no old pairs;
             # removed iff no new pairs; changed otherwise. Fully VECTORIZED
-            # (np.unique composite keys + bincount side flags): the former
-            # per-key pandas crosstab cost ~20 ms per partition and serialized
-            # inside map_groups tasks — it dominated the whole update at bench
-            # scale.
+            # (np.unique composite keys + bincount side flags).
             empty = pd.DataFrame({
                 "repo": pd.Series([], dtype="string"),
                 "path": pd.Series([], dtype="string"),
@@ -1603,9 +1594,9 @@ def update_index(corpus, out_dir: str, *, batch_size: int = 256,
 
         delta_rows = (
             tagged_keys
-            .map_batches(add_pg, batch_format="pyarrow")
-            .groupby("pg")
-            .map_groups(classify_part, batch_format="pandas")
+            .map_batches(add_key_hash, batch_format="pyarrow")
+            .sort("kh")
+            .map_batches(classify_part, batch_format="pandas", batch_size=None)
             .take_all()
         )
         _mark_stage("diff")

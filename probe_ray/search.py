@@ -25,6 +25,8 @@ rule, and conformance tests assert engine == oracle exactly.
 
 from __future__ import annotations
 
+import functools
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,6 +69,24 @@ class _QueryContext:
     language: str | None
 
 
+def _records_block_metrics(search_blocks):
+    """Each ``Engine.search_blocks`` call (it has many return points) gets
+    its own ``last_metrics`` record and probe-block stats."""
+
+    @functools.wraps(search_blocks)
+    def run(self, queries, **kwargs):
+        t0, self._probe_block_stats = time.time(), []
+        result = search_blocks(self, queries, **kwargs)
+        self.last_metrics = dict(
+            mode=kwargs.get("mode", "compat"), unit="blocks",
+            results=result.num_rows, wall_sec=round(time.time() - t0, 4),
+            probe_blocks=self._probe_block_stats,
+        )
+        return result
+
+    return run
+
+
 class Engine:
     """A built index, ready to serve queries."""
 
@@ -75,8 +95,10 @@ class Engine:
         self._stats = self.paths.stats()
         self._term_dict: np.ndarray | None = None
         #: per-query observability (LimitedSearchResults-style counters:
-        #: models.rs:2-9): set by every search() call
+        #: models.rs:2-9): a fresh record from every search() and
+        #: search_blocks() call
         self.last_metrics: dict = {}
+        self._probe_block_stats: list[dict] = []  # skip blocks read, per term
 
     def _term_dictionary(self) -> np.ndarray:
         """All indexed terms (cached). Used for substring-candidate
@@ -297,8 +319,6 @@ class Engine:
             if ids.size:
                 ids_parts.append(ids)
                 tf_parts.append(tfs)
-        if not hasattr(self, "_probe_block_stats"):
-            self._probe_block_stats = []
         self._probe_block_stats.append(
             dict(term=term, read=blocks_read, total=blocks_total)
         )
@@ -940,6 +960,7 @@ class Engine:
 
     # -- block-granularity search (the reference's real output unit) --------
 
+    @_records_block_metrics
     def search_blocks(
         self,
         queries: list[str] | str,

@@ -78,6 +78,29 @@ def _docs(sf_dir: str, columns=None) -> rd.Dataset:
     return rd.read_parquet(f"{sf_dir}/documents.parquet", columns=columns)
 
 
+def _key_blocks(ds: rd.Dataset, key, fn, batch_format: str) -> rd.Dataset:
+    """Apply ``fn`` once per block of ``ds`` sorted by ``key``. Ray's sort
+    range-partitions its output, so all rows of one key value land in ONE
+    block (the guarantee ``GroupedData.map_groups`` itself rests on): ``fn``
+    resolves every group of its block in one call instead of one call per
+    group. Ray passes empty blocks (an all-to-all may emit them without a
+    schema) through without calling ``fn``."""
+    return ds.sort(key).map_batches(
+        fn, batch_format=batch_format, batch_size=None
+    )
+
+
+def _run_bounds(*keys: np.ndarray) -> np.ndarray:
+    """``[0, s_1, ..., n]``: the boundaries of the runs of equal key rows in
+    rows sorted by ``keys``."""
+    n = len(keys[0])
+    change = np.zeros(n, dtype=bool)
+    change[:1] = True
+    for k in keys:
+        change[1:] |= k[1:] != k[:-1]
+    return np.append(np.flatnonzero(change), n)
+
+
 # ---------------------------------------------------------------------------
 # Text statistics
 # ---------------------------------------------------------------------------
@@ -278,9 +301,6 @@ def ngram_repetition(sf_dir: str, n: int = 3) -> rd.Dataset:
     return _docs(sf_dir, ["doc_id", "text"]).map_batches(rep, batch_format="pyarrow")
 
 
-_DUP_GRAM_COARSE = 1024
-
-
 def dup_ngram_fraction(sf_dir: str, n: int = 8) -> rd.Dataset:
     """CROSS-document duplicate n-gram fraction (the Gopher/MassiveText
     quality rule: fraction of a doc's word n-grams that also occur in at
@@ -288,90 +308,67 @@ def dup_ngram_fraction(sf_dir: str, n: int = 8) -> rd.Dataset:
     Per doc: n_grams, n_dup (occurrences whose gram appears in >= 2
     distinct docs corpus-wide), dup_fraction. SQL-checked.
 
-    Shape: (gram, doc_id, occ) rows coarse-partitioned by gram hash
-    (pg = hash % 1024, the minhash bucket pattern) -> one
-    groupby(pg).map_groups where pandas resolves per-gram doc counts and
-    per-doc dup sums inside each partition -> tagged union with the
-    per-doc totals -> one groupby(doc_id) sum. Two shuffles, no joins,
-    no driver state. At 100-TB scale the gram strings would be replaced
-    by 64-bit hashes (collision-tolerant for a fraction metric); strings
-    are kept here for exact SQL parity."""
-    import zlib
+    Shape: one (gram, doc_id, occurrences) row per distinct gram of a doc
+    -> sort(gram), so each gram's rows share one block -> one pandas call
+    per block resolves per-gram doc counts and per-doc partial sums
+    (n_grams sums a doc's occurrences, n_dup those of grams in >= 2 docs)
+    -> sort(doc_id) -> one pandas call per block adds each doc's
+    partials. Two shuffles, no joins, no driver state. At
+    100-TB scale the gram strings would be replaced by 64-bit hashes
+    (collision-tolerant for a fraction metric); strings are kept here for
+    exact SQL parity."""
 
     def occurrences(batch: pa.Table) -> pa.Table:
-        # one pass emits BOTH the (gram, doc, occ) occurrence rows
-        # (pg >= 0) and the per-doc totals (pg < 0, doc-sharded so no
-        # partition is O(corpus)); the totals ride the same shuffle
         grams: list[str] = []
         dids: list[int] = []
         occs: list[int] = []
-        pgs: list[int] = []
         for did, text in zip(
             batch.column("doc_id").to_pylist(), batch.column("text").to_pylist()
         ):
-            toks = simple_tokens(text)
             counts: dict[str, int] = {}
-            for g in _word_ngrams(toks, n):
+            for g in _word_ngrams(simple_tokens(text), n):
                 counts[g] = counts.get(g, 0) + 1
-            for g, c in counts.items():
-                grams.append(g)
-                dids.append(did)
-                occs.append(c)
-                # partition key only (never compared to SQL): crc32 is
-                # deterministic and ~10x cheaper than a crypto hash
-                pgs.append(zlib.crc32(g.encode()) % _DUP_GRAM_COARSE)
-            grams.append("")
-            dids.append(did)
-            occs.append(max(len(toks) - n + 1, 0))  # n_grams total
-            pgs.append(-1 - (did % _DUP_GRAM_COARSE))
+            # a doc with no grams still needs its row: a NUL-prefixed
+            # sentinel never equals a real gram or another doc's sentinel
+            counts[f"\x00{did}"] = 0
+            grams.extend(counts)
+            dids.extend([did] * len(counts))
+            occs.extend(counts.values())
         return pa.table({
-            "pg": pa.array(pgs, pa.int64()),
             "gram": pa.array(grams, pa.string()),
             "doc_id": pa.array(dids, pa.int64()),
-            "occ": pa.array(occs, pa.int64()),
+            "n_grams": pa.array(occs, pa.int64()),  # the gram's occurrences
         })
 
-    def resolve_partition(group: pa.Table) -> pa.Table:
-        if group.num_rows and group.column("pg")[0].as_py() < 0:
-            # totals partition: occ carries n_grams
-            return pa.table({
-                "doc_id": group.column("doc_id"),
-                "n_grams": group.column("occ"),
-                "n_dup": pa.array([0] * group.num_rows, pa.int64()),
-            })
+    def doc_sums(df: pd.DataFrame) -> pd.DataFrame:
+        return df.groupby("doc_id", as_index=False)[["n_grams", "n_dup"]].sum()
+
+    def resolve_block(df: pd.DataFrame) -> pd.DataFrame:
         # one row per (doc, gram): docs-per-gram == rows-per-gram
-        df = group.select(["gram", "doc_id", "occ"]).to_pandas()
-        n_docs = df.groupby("gram")["doc_id"].transform("size")
-        dup = (
-            df[n_docs.to_numpy() >= 2].groupby("doc_id")["occ"].sum()
-        )
-        return pa.table({
-            "doc_id": pa.array(dup.index.to_numpy(), pa.int64()),
-            "n_grams": pa.array([0] * len(dup), pa.int64()),
-            "n_dup": pa.array(dup.to_numpy(), pa.int64()),
-        })
+        n_docs = df.groupby("gram")["doc_id"].transform("size").to_numpy()
+        return doc_sums(df.assign(n_dup=df["n_grams"].where(n_docs >= 2, 0)))
 
-    merged = (
-        _docs(sf_dir, ["doc_id", "text"])
-        .map_batches(occurrences, batch_format="pyarrow")
-        .groupby("pg")
-        .map_groups(resolve_partition, batch_format="pyarrow")
-        .groupby("doc_id")
-        .sum(["n_grams", "n_dup"])
-    )
-
-    def finish(batch: pa.Table) -> pa.Table:
-        ng = batch.column("sum(n_grams)").to_numpy()
-        nd = batch.column("sum(n_dup)").to_numpy()
-        frac = np.where(ng > 0, nd / np.maximum(ng, 1), 0.0)
+    def finish_block(df: pd.DataFrame) -> pa.Table:
+        d = doc_sums(df)
+        ng, nd = d["n_grams"].to_numpy(), d["n_dup"].to_numpy()
         return pa.table({
-            "doc_id": batch.column("doc_id"),
+            "doc_id": pa.array(d["doc_id"].to_numpy(), pa.int64()),
             "n_grams": pa.array(ng, pa.int64()),
             "n_dup": pa.array(nd, pa.int64()),
-            "dup_fraction": pa.array(frac, pa.float64()),
+            "dup_fraction": pa.array(
+                np.where(ng > 0, nd / np.maximum(ng, 1), 0.0), pa.float64()
+            ),
         })
 
-    return merged.map_batches(finish, batch_format="pyarrow").sort("doc_id")
+    # the per-doc sum is a sorted-block stage too: Ray's native groupby
+    # aggregate over these pandas blocks took ~10 s for 8k partial rows at
+    # 2 CPUs, where the sort and block calls take ~0.1 s
+    partials = _key_blocks(
+        _docs(sf_dir, ["doc_id", "text"])
+        .map_batches(occurrences, batch_format="pyarrow"),
+        "gram", resolve_block, "pandas",
+    )
+    return _key_blocks(partials, "doc_id", finish_block, "pandas").sort("doc_id")
 
 
 def benchmark_contamination(
@@ -776,11 +773,6 @@ def _minhash_sig(shingles: set[str], n_hashes: int = 64) -> np.ndarray:
 #: the drop is logged via ``LAST_MINHASH_METRICS``.
 _LSH_BUCKET_CAP = 64
 
-#: coarse partition count for the (band, band_hash) bucket-resolution
-#: shuffle: bounds the Ray group count (and per-group dispatch overhead)
-#: regardless of how many distinct buckets exist
-_LSH_COARSE = 1024
-
 #: membership-store crossover: up to this many qualifying (doc, bucket)
 #: rows the doc->buckets map is a driver dict broadcast once via ray.put
 #: (~150 B/row of driver heap, zero extra Ray jobs); above it, membership
@@ -799,10 +791,6 @@ LAST_MINHASH_METRICS: dict = {}
 #: the duplicate-heavy corpora a dedup op exists for (30% dup at 100 TB is
 #: O(10^10) edges — nothing that size may ever reach one node)
 _CC_DRIVER_EDGE_MAX = 2_000_000
-
-#: coarse partition count for the per-round label-propagation shuffle
-#: (bounds Ray group count; partitions resolve vectorized inside pandas)
-_CC_COARSE = 1024
 
 #: observability for the most recent connected-components run (either op)
 LAST_CC_METRICS: dict = {}
@@ -833,9 +821,7 @@ def _cc_union_find(a: np.ndarray, b: np.ndarray) -> pa.Table:
     })
 
 
-def _cc_labels_distributed(
-    edges: rd.Dataset, n_edges: int | None = None
-) -> tuple[rd.Dataset, int]:
+def _cc_labels_distributed(edges: rd.Dataset) -> tuple[rd.Dataset, int]:
     """Dataset-native connected components: min-label propagation with
     label-SHORTCUT edges (pointer doubling), the swap point the round-4
     verdict required for the dedup graph.
@@ -846,9 +832,9 @@ def _cc_labels_distributed(
     jumps messages straight to each node's best-known ancestor, so a
     diameter-d component converges in O(log d) rounds instead of O(d)
     (the windowed near-dup ops produce long chain components where this
-    matters). The per-round work is two bounded coarse node-hash
-    groupbys — one resolving messages, one reducing per-node minima —
-    each VECTORIZED in pandas; driver state per round is one int64 sum.
+    matters). The per-round work is two sorts by node — one resolving
+    messages, one reducing per-node minima — each VECTORIZED in pandas
+    once per sorted block; driver state per round is one int64 sum.
 
     Fixpoint detection is exact, not heuristic: labels are monotonically
     non-increasing per node, so sum(labels) strictly decreases while
@@ -860,21 +846,12 @@ def _cc_labels_distributed(
     every edge-touched node, rounds run). Duplicate input edges are
     harmless (a few extra message rows).
 
-    Every per-node reduction runs as a COARSE groupby (n_pg hash
-    partitions, one vectorized pandas reduce per partition) — Ray's
-    native per-key Min aggregate measured 66 s over 700k rows / 20k keys
-    where the coarse reduce takes under a second; the same group-count
-    bound every bucketed op in this module uses. Callers that already
-    know the edge count pass it via ``n_edges`` (sparing one execution
-    of an unmaterialized edge projection)."""
-    if n_edges is None:
-        n_edges = edges.count()
-    # coarse partitions scale with edge count: each pg group is one
-    # vectorized pandas call, so the group count only needs to bound the
-    # per-group ROW count, and thousands of tiny groups are pure overhead
-    n_pg = int(min(_CC_COARSE, max(8, n_edges // 65_536 + 8)))
+    Every per-node reduction is one pandas reduce per block of a sort by
+    node (``_key_blocks``) — Ray's native per-key Min aggregate measured
+    66 s over 700k rows / 20k keys where the block reduce takes under a
+    second."""
 
-    def sym_pg(batch: pa.Table) -> pa.Table:
+    def sym(batch: pa.Table) -> pa.Table:
         av = batch.column("a").to_numpy()
         bv = batch.column("b").to_numpy()
         node = np.concatenate([av, bv])
@@ -882,40 +859,25 @@ def _cc_labels_distributed(
             "node": pa.array(node, pa.int64()),
             "other": pa.array(np.concatenate([bv, av]), pa.int64()),
             "is_lab": pa.array(np.zeros(node.size, dtype=bool), pa.bool_()),
-            "pg": pa.array(node % n_pg, pa.int64()),
         })
 
-    adj0 = edges.map_batches(sym_pg, batch_format="pyarrow").materialize()
-
-    _lab_empty = pd.DataFrame({
-        "node": pd.Series([], dtype="int64"),
-        "lab": pd.Series([], dtype="int64"),
-        "pg": pd.Series([], dtype="int64"),
-    })
+    adj0 = edges.map_batches(sym, batch_format="pyarrow").materialize()
 
     def _node_min(col: str, include_self: bool):
-        # shared coarse per-node-min reduce: labels frame (node, lab, pg)
+        # shared per-node-min reduce: labels frame (node, lab)
         def run(g: pd.DataFrame) -> pd.DataFrame:
-            if not len(g):
-                return _lab_empty
             m = g.groupby("node", sort=False)[col].min()
             node = m.index.to_numpy()
             lab = np.minimum(node, m.to_numpy()) if include_self else m.to_numpy()
-            return pd.DataFrame({
-                "node": node, "lab": lab, "pg": node % n_pg,
-            }).astype({"node": "int64", "lab": "int64", "pg": "int64"})
+            return pd.DataFrame({"node": node, "lab": lab}).astype("int64")
 
         return run
 
     # initial labels: min(node, min neighbor) — the first round free
-    init_part = _node_min("other", include_self=True)
     reduce_min = _node_min("lab", include_self=False)
-
-    labels = (
-        adj0.groupby("pg")
-        .map_groups(init_part, batch_format="pandas")
-        .materialize()
-    )
+    labels = _key_blocks(
+        adj0, "node", _node_min("other", include_self=True), "pandas"
+    ).materialize()
     prev_sum = int(labels.sum("lab") or 0)
 
     def lab_and_shortcut_rows(t: pa.Table) -> pa.Table:
@@ -935,14 +897,10 @@ def _cc_labels_distributed(
             "node": pa.array(node, pa.int64()),
             "other": pa.array(other, pa.int64()),
             "is_lab": pa.array(is_lab, pa.bool_()),
-            "pg": pa.array(node % n_pg, pa.int64()),
         })
 
     def step(g: pd.DataFrame) -> pd.DataFrame:
-        # messages re-keyed by their TARGET node's partition for the
-        # coarse reduce that follows
-        if not len(g):
-            return _lab_empty
+        # messages re-keyed by their TARGET node for the reduce that follows
         lab = g[g["is_lab"]].groupby("node", sort=False)["other"].min()
         adj = g[~g["is_lab"]]
         sent = adj["node"].map(lab)
@@ -952,26 +910,22 @@ def _cc_labels_distributed(
         return pd.DataFrame({
             "node": node,
             "lab": np.concatenate([sent.to_numpy(), lab.to_numpy()]),
-            "pg": node % n_pg,
-        }).astype({"node": "int64", "lab": "int64", "pg": "int64"})
+        }).astype("int64")
 
     rounds = 0
     while True:
         rounds += 1
         if rounds > 100:  # mathematically unreachable (monotone ints)
             raise RuntimeError("connected components failed to converge")
-        labels = (
+        messages = _key_blocks(
             adj0.union(
                 labels.map_batches(
                     lab_and_shortcut_rows, batch_format="pyarrow"
                 )
-            )
-            .groupby("pg")
-            .map_groups(step, batch_format="pandas")
-            .groupby("pg")
-            .map_groups(reduce_min, batch_format="pandas")
-            .materialize()
+            ),
+            "node", step, "pandas",
         )
+        labels = _key_blocks(messages, "node", reduce_min, "pandas").materialize()
         s = int(labels.sum("lab") or 0)
         if s == prev_sum:
             break
@@ -1006,13 +960,14 @@ def minhash_lsh_dedup(
     sf_dir: str, n_hashes: int = 64, bands: int = 16, threshold: float = 0.5
 ) -> pa.Table:
     """MinHash + LSH near-duplicate clustering:
-    shingle -> minhash -> band -> groupby(band, band_hash) -> capped bucket
+    shingle -> minhash -> band -> sort(band, band_hash) -> capped bucket
     membership -> per-BUCKET vectorized Jaccard verification -> min-label
     clusters. Output (doc_id, cluster_id) for docs in non-singleton
     clusters.
 
-    Scale notes: banding keys the shuffle (coarse-partitioned so per-group
-    dispatch overhead is bounded, not O(buckets)); bucket membership is
+    Scale notes: banding keys the shuffle, and both bucket stages resolve
+    every bucket of a sorted block in one call (per-call overhead is
+    O(blocks), not O(buckets)); bucket membership is
     capped at ``_LSH_BUCKET_CAP`` ids (degenerate buckets cannot explode
     quadratically; drops are counted in LAST_MINHASH_METRICS); verification
     attaches each member's shingle hashes once per bucket membership and
@@ -1050,26 +1005,13 @@ def minhash_lsh_dedup(
         sig_batch, batch_format="pyarrow"
     )
 
-    # ---- bucket membership (capped), COARSE-partitioned ----
-    # Hashing (band, band_hash) into a bounded number of partitions keeps the
-    # shuffle's group count at _LSH_COARSE instead of O(buckets) — the
+    # ---- bucket membership (capped) ----
+    # Sorted by (band, band_hash), every bucket's rows share one block; the
     # singleton-dominated bucket space is resolved VECTORIZED (pandas
-    # groupby/transform) inside each partition. Buckets with <2 members
-    # vanish here; oversized buckets keep their _LSH_BUCKET_CAP smallest ids
+    # groupby/transform) once per block. Buckets with <2 members vanish
+    # here; oversized buckets keep their _LSH_BUCKET_CAP smallest ids
     # (deterministic) and carry the drop count once per bucket.
-    def add_pg(batch: pa.Table) -> pa.Table:
-        bh = batch.column("band_hash").to_pylist()
-        bd = batch.column("band").to_numpy()
-        # band_hash is md5-derived hex: its low bits are already uniform;
-        # mix the band into the LOW bits (a high shift would vanish under
-        # the modulo) so different bands sharing a hash low-word spread
-        # across partitions
-        pg = np.array(
-            [int(h[-4:], 16) for h in bh], dtype=np.int64
-        ) ^ (bd.astype(np.int64) * 0x9E37)
-        return batch.append_column("pg", pa.array(pg % _LSH_COARSE, pa.int64()))
-
-    def coarse_members(g: pd.DataFrame) -> pd.DataFrame:
+    def bucket_members(g: pd.DataFrame) -> pd.DataFrame:
         g = g.drop_duplicates(["band", "band_hash", "doc_id"]).sort_values(
             ["band", "band_hash", "doc_id"]
         )
@@ -1114,12 +1056,9 @@ def minhash_lsh_dedup(
     #    rows — bounded even on a duplicate-heavy corpus where the
     #    qualifying list approaches O(corpus). (Multi-node: the side table
     #    goes to shared storage, like every other index artifact.)
-    members_mat = (
-        bands_ds.map_batches(add_pg, batch_format="pyarrow")
-        .groupby("pg")
-        .map_groups(coarse_members, batch_format="pandas")
-        .materialize()
-    )
+    members_mat = _key_blocks(
+        bands_ds, ["band", "band_hash"], bucket_members, "pandas"
+    ).materialize()
     n_members = members_mat.count()
     dropped_total = (
         int(members_mat.sum("dropped") or 0) if n_members else 0
@@ -1213,53 +1152,52 @@ def minhash_lsh_dedup(
             )
 
     try:
-        _edge_schema = pa.schema([("a", pa.int64()), ("b", pa.int64())])
-
-        def bucket_verify(group: pa.Table) -> pa.Table:
-            n = group.num_rows
-            if n < 2:
-                return _edge_schema.empty_table()
-            ids = group.column("doc_id").to_numpy()
-            order = np.argsort(ids)  # ascending -> emitted edges have a < b
-            ids = ids[order]
-            sh_col = group.column("sh")
-            arrs = [
-                np.asarray(sh_col[int(i)].as_py() or [], dtype=np.int64)
-                for i in order
-            ]
-            nz = [a for a in arrs if a.size]
-            if not nz:
-                return _edge_schema.empty_table()
-            # membership matrix over the bucket's hash union: intersection
-            # sizes for ALL pairs in one matmul (bucket is capped, n <= 64)
-            univ = np.unique(np.concatenate(nz))
-            M = np.zeros((n, univ.size), dtype=np.float64)
-            for i, a in enumerate(arrs):
-                if a.size:
-                    M[i, np.searchsorted(univ, a)] = 1.0
-            inter = M @ M.T
-            sizes = M.sum(axis=1)
-            iu, ju = np.triu_indices(n, k=1)
-            union = sizes[iu] + sizes[ju] - inter[iu, ju]
-            ok = (union > 0) & (
-                inter[iu, ju] / np.maximum(union, 1.0) >= threshold
+        def verify_block(block: pa.Table) -> pa.Table:
+            # ascending ids within each bucket -> emitted edges have a < b
+            block = block.sort_by(
+                [("bucket", "ascending"), ("doc_id", "ascending")]
             )
-            return pa.table(
-                {
-                    "a": pa.array(ids[iu[ok]], pa.int64()),
-                    "b": pa.array(ids[ju[ok]], pa.int64()),
-                }
+            ids = block.column("doc_id").to_numpy()
+            sh = block.column("sh").combine_chunks()
+            offs, vals = sh.offsets.to_numpy(), sh.values.to_numpy()
+            bounds = _run_bounds(
+                block.column("bucket").to_numpy(zero_copy_only=False)
             )
+            a_out, b_out = [ids[:0]], [ids[:0]]
+            for s, e in zip(bounds[:-1], bounds[1:]):
+                arrs = [vals[offs[i]:offs[i + 1]] for i in range(s, e)]
+                nz = [a for a in arrs if a.size]
+                if e - s < 2 or not nz:
+                    continue
+                # membership matrix over the bucket's hash union:
+                # intersection sizes for ALL pairs in one matmul (bucket is
+                # capped, n <= 64)
+                univ = np.unique(np.concatenate(nz))
+                M = np.zeros((e - s, univ.size), dtype=np.float64)
+                for i, a in enumerate(arrs):
+                    if a.size:
+                        M[i, np.searchsorted(univ, a)] = 1.0
+                inter = M @ M.T
+                sizes = M.sum(axis=1)
+                iu, ju = np.triu_indices(e - s, k=1)
+                union = sizes[iu] + sizes[ju] - inter[iu, ju]
+                ok = (union > 0) & (
+                    inter[iu, ju] / np.maximum(union, 1.0) >= threshold
+                )
+                a_out.append(ids[s:e][iu[ok]])
+                b_out.append(ids[s:e][ju[ok]])
+            return pa.table({
+                "a": pa.array(np.concatenate(a_out), pa.int64()),
+                "b": pa.array(np.concatenate(b_out), pa.int64()),
+            })
 
         # verified edges stay a DATASET: the clustering crossover below
         # decides whether they ever land on the driver at all
-        edges_ds = (
+        edges_ds = _key_blocks(
             _docs(sf_dir, ["doc_id", "text"])
-            .map_batches(shingle_rows, batch_format="pyarrow")
-            .groupby("bucket")
-            .map_groups(bucket_verify, batch_format="pyarrow")
-            .materialize()
-        )
+            .map_batches(shingle_rows, batch_format="pyarrow"),
+            "bucket", verify_block, "pyarrow",
+        ).materialize()
     finally:
         if members_dir is not None:
             shutil.rmtree(members_dir, ignore_errors=True)
@@ -1306,7 +1244,7 @@ def minhash_lsh_dedup(
             sort_keys=[("cluster_id", "ascending"), ("doc_id", "ascending")],
         )
         return labels.take(order)
-    labels_ds, rounds = _cc_labels_distributed(edges_ds, n_edges=n_edges)
+    labels_ds, rounds = _cc_labels_distributed(edges_ds)
     LAST_MINHASH_METRICS.update(
         cc_mode="distributed-min-label", cc_rounds=rounds
     )
@@ -1402,29 +1340,35 @@ def simhash_near_dup(
             "simhash": pa.array(np.concatenate(ss), pa.int64()),
         })
 
-    _schema = pa.schema([
-        ("doc_id_a", pa.int64()), ("doc_id_b", pa.int64()),
-        ("hamming", pa.int32()),
-    ])
-
-    def pairs(group: pa.Table) -> pa.Table:
-        ids_all = group.column("doc_id").to_numpy()
-        order = np.argsort(ids_all, kind="stable")[:_LSH_BUCKET_CAP]
-        if order.size < 2:
-            return _schema.empty_table()
-        sel = group.take(pa.array(order))
-        ids = sel.column("doc_id").to_numpy().astype(np.int64)
-        u = sel.column("simhash").to_numpy().view(np.uint64)
-        iu, ju = np.triu_indices(ids.size, k=1)
+    def block_pairs(block: pa.Table) -> pa.Table:
+        band = block.column("band").to_numpy()
+        key = block.column("key").to_numpy()
+        ids = block.column("doc_id").to_numpy()
+        order = np.lexsort((ids, key, band))
+        band, key, ids = band[order], key[order], ids[order]
+        u = block.column("simhash").to_numpy().view(np.uint64)[order]
+        # one vectorized pass over every (band, key) of the block: keep the
+        # _LSH_BUCKET_CAP smallest ids per key, then drop singleton keys
+        bounds = _run_bounds(band, key)
+        sizes = np.diff(bounds)
+        pos = np.arange(ids.size) - np.repeat(bounds[:-1], sizes)
+        keep = np.repeat(sizes >= 2, sizes) & (pos < _LSH_BUCKET_CAP)
+        key, band, ids, u = key[keep], band[keep], ids[keep], u[keep]
+        bounds = _run_bounds(band, key)
+        starts = bounds[:-1]
+        tri = [np.triu_indices(e - s, k=1) for s, e in zip(starts, bounds[1:])]
+        none = np.empty(0, dtype=np.int64)
+        iu = np.concatenate([none] + [t[0] + s for t, s in zip(tri, starts)])
+        ju = np.concatenate([none] + [t[1] + s for t, s in zip(tri, starts)])
         x = np.bitwise_xor(u[iu], u[ju])
-        pc = np.unpackbits(
+        ham = np.unpackbits(
             x.astype("<u8").view(np.uint8).reshape(-1, 8), axis=1
         ).sum(axis=1).astype(np.int32)
-        hit = pc <= max_hamming
+        hit = ham <= max_hamming
         return pa.table({
             "doc_id_a": pa.array(ids[iu[hit]], pa.int64()),
             "doc_id_b": pa.array(ids[ju[hit]], pa.int64()),
-            "hamming": pa.array(pc[hit], pa.int32()),
+            "hamming": pa.array(ham[hit], pa.int32()),
         })
 
     from ray.data.aggregate import Min
@@ -1432,9 +1376,10 @@ def simhash_near_dup(
     # a pair found in several bands dedups distributed (hamming is a pure
     # function of the pair, so Min == the single value)
     return (
-        sig.map_batches(to_bands, batch_format="pyarrow")
-        .groupby(["band", "key"])
-        .map_groups(pairs, batch_format="pyarrow")
+        _key_blocks(
+            sig.map_batches(to_bands, batch_format="pyarrow"),
+            ["band", "key"], block_pairs, "pyarrow",
+        )
         .groupby(["doc_id_a", "doc_id_b"])
         .aggregate(Min("hamming", alias_name="hamming"))
         .sort(["doc_id_a", "doc_id_b"])
@@ -1474,20 +1419,20 @@ def _near_dup_pairs(sf_dir: str, window: int = 5, threshold: float = 0.5) -> rd.
             }
         )
 
-    def pair_group(group: pd.DataFrame) -> pd.DataFrame:
-        g = group.sort_values("doc_id")
+    def pair_block(block: pd.DataFrame) -> pd.DataFrame:
+        g = block.sort_values(["bucket", "doc_id"])
+        bks = g["bucket"].tolist()
         ids = g["doc_id"].tolist()
         texts = g["text"].tolist()
-        bnum = g["bucket"].iloc[0]
         sets = [set(simple_tokens(t)) for t in texts]
         a_out, b_out, j_out = [], [], []
         for i in range(len(ids)):
             for j in range(i + 1, len(ids)):
-                if ids[j] - ids[i] > window:
+                if bks[j] != bks[i] or ids[j] - ids[i] > window:
                     break
                 # each pair is emitted from exactly ONE bucket: the bucket of
                 # the larger id (both endpoints are replicated into it)
-                if ids[j] // bucket != bnum:
+                if ids[j] // bucket != bks[i]:
                     continue
                 inter = len(sets[i] & sets[j])
                 union = len(sets[i] | sets[j])
@@ -1506,11 +1451,10 @@ def _near_dup_pairs(sf_dir: str, window: int = 5, threshold: float = 0.5) -> rd.
 
     # each pair is emitted exactly once (from the larger-id endpoint's
     # bucket), so no driver-side dedup is needed
-    return (
+    return _key_blocks(
         _docs(sf_dir, ["doc_id", "text"])
-        .map_batches(to_buckets, batch_format="pyarrow")
-        .groupby("bucket")
-        .map_groups(pair_group, batch_format="pandas")
+        .map_batches(to_buckets, batch_format="pyarrow"),
+        "bucket", pair_block, "pandas",
     )
 
 
@@ -1553,8 +1497,7 @@ def dedup_clusters(
                                edge_rows=n_pairs)
     else:
         labeled_ds, rounds = _cc_labels_distributed(
-            pairs_ds.map_batches(as_edges, batch_format="pyarrow"),
-            n_edges=n_pairs,
+            pairs_ds.map_batches(as_edges, batch_format="pyarrow")
         )
         LAST_CC_METRICS.update(mode="distributed-min-label", rounds=rounds,
                                edge_rows=n_pairs)
@@ -1768,13 +1711,11 @@ def _lsh_planes(n_planes: int, dim: int, seed: int = 42) -> np.ndarray:
 
 
 def _lsh_sig_store(sf_dir: str, n_planes: int = 6, seed: int = 42) -> str:
-    """Build (once per source file version, cached under /tmp) the bucketed
+    """Build (once per source file version, cached in the temp dir) the bucketed
     LSH index: (sig, vec_id, embedding) written sig-SORTED so a query's
     Hamming ring is a parquet predicate read that prunes row groups — the
     stored signature->bucket table the 100-TB path needs, instead of
     re-signing every vector per query."""
-    import os
-
     import pyarrow.parquet as _pq
 
     src = f"{sf_dir}/embeddings.parquet"
@@ -1782,14 +1723,12 @@ def _lsh_sig_store(sf_dir: str, n_planes: int = 6, seed: int = 42) -> str:
     tag = hashlib.md5(
         f"{src}:{st.st_size}:{int(st.st_mtime)}:{n_planes}:{seed}".encode()
     ).hexdigest()[:12]
-    out = f"/tmp/probe_ray_lshsig_{tag}"
+    out = os.path.join(tempfile.gettempdir(), f"probe_ray_lshsig_{tag}")
     if os.path.exists(os.path.join(out, "_DONE")):
         return out
     if os.path.exists(out):
         # crash between rename and a legacy outside-part _DONE write left a
         # half-finalized dir: rebuild from scratch
-        import shutil
-
         shutil.rmtree(out)
     pf = _pq.ParquetFile(src)
     first = next(pf.iter_batches(batch_size=1, columns=["embedding"]))
@@ -1813,8 +1752,6 @@ def _lsh_sig_store(sf_dir: str, n_planes: int = 6, seed: int = 42) -> str:
     # arbiter pattern as _ivf_store
     part = f"{out}.part.{os.getpid()}"
     if os.path.exists(part):
-        import shutil
-
         shutil.rmtree(part)
     (
         rd.read_parquet(src, columns=["vec_id", "embedding"])
@@ -1827,8 +1764,6 @@ def _lsh_sig_store(sf_dir: str, n_planes: int = 6, seed: int = 42) -> str:
     try:
         os.rename(part, out)
     except OSError:
-        import shutil
-
         shutil.rmtree(part)
     return out
 
@@ -1948,6 +1883,21 @@ def knn_lsh(
 LAST_KNN_IVF_METRICS: dict = {}
 
 
+def _parquet_min(src: str, column: str) -> int | None:
+    """Minimum of a top-level integer column of one parquet file (None when
+    it has no rows), from the row-group footer statistics; the column is
+    read only when a row group carries none."""
+    import pyarrow.parquet as _pq
+
+    meta = _pq.ParquetFile(src).metadata
+    i = meta.schema.names.index(column)
+    stats = [meta.row_group(r).column(i).statistics
+             for r in range(meta.num_row_groups) if meta.row_group(r).num_rows]
+    if all(st is not None and st.has_min_max for st in stats):
+        return int(min(st.min for st in stats)) if stats else None
+    return int(pc.min(_pq.read_table(src, columns=[column])[column]).as_py())
+
+
 def _ivf_store(
     sf_dir: str, n_centroids: int = 16, seed: int = 42,
     train_sample: int = 4096, iters: int = 8,
@@ -1958,10 +1908,8 @@ def _ivf_store(
     assigned to its nearest centroid in one distributed map, and the
     assignment table written centroid-SORTED so a query's nprobe inverted
     lists are parquet predicate reads that prune row groups. Cached per
-    source file version under /tmp. Returns (store_dir, unit centroids)."""
-    import os
-    import shutil
-
+    source file version in the temp dir (``tempfile.gettempdir()``, which
+    honours ``TMPDIR``). Returns (store_dir, unit centroids)."""
     import pyarrow.parquet as _pq
 
     src = f"{sf_dir}/embeddings.parquet"
@@ -1970,7 +1918,7 @@ def _ivf_store(
         f"{src}:{st.st_size}:{int(st.st_mtime)}:ivf3:{n_centroids}:{seed}:"
         f"{train_sample}:{iters}".encode()
     ).hexdigest()[:12]
-    out = f"/tmp/probe_ray_ivf_{tag}"
+    out = os.path.join(tempfile.gettempdir(), f"probe_ray_ivf_{tag}")
     cent_path = os.path.join(out, "_centroids.npy")
     if os.path.exists(os.path.join(out, "_DONE")):
         return out, np.load(cent_path)
@@ -1985,10 +1933,9 @@ def _ivf_store(
     # and exactly replayable in SQL (the ivf_assignments oracle); the
     # min-relative window also covers non-zero-based id spaces without a
     # separate fallback ---
-    vid_col = _pq.read_table(src, columns=["vec_id"]).column("vec_id")
-    if len(vid_col) == 0:
+    min_vid = _parquet_min(src, "vec_id")
+    if min_vid is None:
         raise ValueError("cannot build an IVF index over an empty table")
-    min_vid = int(pc.min(vid_col).as_py())
     sample = _pq.read_table(
         src, columns=["vec_id", "embedding"],
         filters=[("vec_id", "<", min_vid + train_sample)],

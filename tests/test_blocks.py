@@ -152,6 +152,32 @@ def test_block_global_mode(t2_rows, t2_index):
     assert e1.to_pylist() == e2.to_pylist()
 
 
+def test_block_search_leaves_its_own_metrics(t2_index):
+    """search_blocks writes a fresh last_metrics record per call: never the
+    previous search's dict, and only its own probe blocks."""
+    eng = Engine(t2_index)
+    q = ["keywordAlpha keywordBeta"]
+    eng.search(q, max_results=5, mode="global")
+    doc_rec = eng.last_metrics
+    doc_probes = list(doc_rec["probe_blocks"])
+    got = eng.search_blocks(q, max_results=5, mode="global")
+    rec = eng.last_metrics
+    assert rec is not doc_rec
+    assert doc_rec["probe_blocks"] == doc_probes  # left untouched
+    assert rec["mode"] == "global" and rec["unit"] == "blocks"
+    assert rec["results"] == got.num_rows
+    # the same call on a fresh engine probes exactly the same blocks
+    alone = Engine(t2_index)
+    alone.search_blocks(q, max_results=5, mode="global")
+    assert rec["probe_blocks"] == alone.last_metrics["probe_blocks"]
+    assert doc_probes and rec["probe_blocks"]  # both calls probed blocks
+    compat = eng.search_blocks(q, max_results=5)
+    assert eng.last_metrics is not rec
+    assert eng.last_metrics["mode"] == "compat"
+    assert eng.last_metrics["results"] == compat.num_rows
+    assert eng.last_metrics["probe_blocks"] == []
+
+
 def test_block_session_granularity(t2_rows, t2_index):
     """cache.rs:36-42: sessions store "file:start-end" BLOCK keys. A repeat
     query suppresses previously returned blocks (not whole files), the

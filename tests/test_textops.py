@@ -173,6 +173,42 @@ def test_knn_ivf_recall_and_pruning():
     assert again == approx
 
 
+def test_vector_stores_honour_tmpdir(tmp_path, monkeypatch):
+    """The cached LSH and IVF stores live in tempfile.gettempdir(), so
+    TMPDIR moves them; a rebuilt IVF store gives the same answers."""
+    import os
+    import tempfile
+
+    from probe_ray import textops as T
+
+    want = T.knn_ivf(SF).to_pandas()
+    monkeypatch.setenv("TMPDIR", str(tmp_path))
+    monkeypatch.setattr(tempfile, "tempdir", None)  # re-read TMPDIR
+    ivf, _ = T._ivf_store(SF)
+    lsh = T._lsh_sig_store(SF)
+    for store in (ivf, lsh):
+        assert os.path.dirname(store) == str(tmp_path)
+        assert os.path.exists(os.path.join(store, "_DONE"))
+    assert T.knn_ivf(SF).to_pandas().equals(want)
+
+
+def test_parquet_min_from_footer_or_column(tmp_path):
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    from probe_ray import textops as T
+
+    t = pa.table({"vec_id": pa.array([9, 4, 7, 12, 5, 30], pa.int64())})
+    pq.write_table(t, str(tmp_path / "stats.parquet"), row_group_size=2)
+    pq.write_table(t, str(tmp_path / "bare.parquet"), row_group_size=2,
+                   write_statistics=False)
+    pq.write_table(t.slice(0, 0), str(tmp_path / "empty.parquet"))
+    assert pq.ParquetFile(str(tmp_path / "stats.parquet")).metadata.num_row_groups == 3
+    assert T._parquet_min(str(tmp_path / "stats.parquet"), "vec_id") == 4
+    assert T._parquet_min(str(tmp_path / "bare.parquet"), "vec_id") == 4
+    assert T._parquet_min(str(tmp_path / "empty.parquet"), "vec_id") is None
+
+
 def test_media_features_stub():
     from probe_ray import textops as T
 
@@ -929,10 +965,29 @@ def test_knn_cosine_batch_matches_single_query():
     assert not (batch["query_id"] == batch["vec_id"]).any()
 
 
-def test_knn_cosine_batch_tie_stability(tmp_path):
-    """Duplicate embeddings tied at the per-block k-th boundary must keep
-    the smaller vec_id (the oracle's row_number order)."""
+def _rowwise_cosine(mat: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Cosine of every row to unit vector ``q``, each from its own row only
+    (per-column accumulation, as knn_cosine_batch scores): exact duplicate
+    rows get bit-identical sims, which a BLAS ``unit @ unit.T`` does not
+    promise (its blocking can put twins 1 ulp apart)."""
+    sims = np.zeros(mat.shape[0])
+    for j in range(mat.shape[1]):
+        sims += mat[:, j] * q[j]
+    norms = np.linalg.norm(mat, axis=1)
+    return sims / np.where(norms > 0, norms, 1.0)
+
+
+def _tie_table(base: np.ndarray, order) -> "pa.Table":
     import pyarrow as pa
+
+    return pa.table({
+        "vec_id": pa.array([int(i) for i in order], pa.int64()),
+        "embedding": pa.array([list(map(float, base[i])) for i in order],
+                              pa.list_(pa.float64())),
+    })
+
+
+def _check_tie_stability(tmp_path, split_files: bool):
     import pyarrow.parquet as pq
 
     from probe_ray import textops as T
@@ -941,25 +996,43 @@ def test_knn_cosine_batch_tie_stability(tmp_path):
     base = rng.standard_normal((30, 8))
     # make ids 10..19 exact duplicates of 20..29 (ties everywhere)
     base[20:30] = base[10:20]
-    tbl = pa.table({
-        "vec_id": pa.array(list(range(30)), pa.int64()),
-        "embedding": pa.array([list(map(float, r)) for r in base],
-                              pa.list_(pa.float64())),
-    })
     d = tmp_path / "ties"
     d.mkdir()
-    pq.write_table(tbl, str(d / "embeddings.parquet"))
+    if not split_files:
+        pq.write_table(_tie_table(base, range(30)),
+                       str(d / "embeddings.parquet"))
+    else:
+        # shuffled rows in files of unequal size: the twins of a pair sit
+        # in different blocks, at different offsets, in batches of
+        # different shapes
+        (d / "embeddings.parquet").mkdir()
+        perm = rng.permutation(30)
+        for i, part in enumerate(np.split(perm, [1, 3, 7, 12, 18, 25])):
+            pq.write_table(_tie_table(base, part),
+                           str(d / "embeddings.parquet" / f"p{i}.parquet"))
     got = T.knn_cosine_batch(str(d), n_queries=2, k=5).to_pandas()
-    # numpy oracle: sim desc, vec_id asc per query
-    unit = base / np.linalg.norm(base, axis=1, keepdims=True)
-    sims = unit @ unit.T
+    # the query rows normalised as knn_cosine_batch does
+    qmat = base[:2] / np.linalg.norm(base[:2], axis=1, keepdims=True)
     for qid in (0, 1):
-        col = sims[:, qid].copy()
+        col = _rowwise_cosine(base, qmat[qid])
+        assert (col[10:20] == col[20:30]).all()
         col[qid] = -np.inf
         order = np.lexsort((np.arange(30), -col))[:5]
         want = [int(v) for v in order]
         have = got[got["query_id"] == qid].sort_values("rank")["vec_id"].tolist()
         assert have == want, (qid, have, want)
+
+
+def test_knn_cosine_batch_tie_stability(tmp_path):
+    """Duplicate embeddings tied at the per-block k-th boundary must keep
+    the smaller vec_id (the oracle's row_number order)."""
+    _check_tie_stability(tmp_path, split_files=False)
+
+
+def test_knn_cosine_batch_twins_tie_in_any_block(tmp_path):
+    """A twin's sim depends on its row alone, so the smaller vec_id still
+    wins when the twins land in different blocks and batch shapes."""
+    _check_tie_stability(tmp_path, split_files=True)
 
 
 def _make_png(px: "np.ndarray", ctype: int, filters: list[int],
