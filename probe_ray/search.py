@@ -26,7 +26,9 @@ rule, and conformance tests assert engine == oracle exactly.
 from __future__ import annotations
 
 import functools
+import itertools
 import time
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -504,10 +506,12 @@ class Engine:
     # this many keyword-matched docs; below it, full extraction is cheap
     # and exact. early_termination=True/False overrides.
     EARLY_TERM_AUTO_MIN = 5000
-    # below this many verified feats rows, the exact/files_only finish
-    # sorts on the driver — a Ray Sort job costs ~1 s of fixed overhead
-    # regardless of size (feats is already materialized, count() is
-    # metadata-only). 0 disables the shortcut (tests force the big path).
+    # where the finishes (ranked and exact, docs and blocks) run: feats
+    # materialized by a Ray verify or extract job of up to this many rows
+    # finish on the driver — a Ray Sort job costs ~1 s of fixed overhead
+    # regardless of size (count() of materialized feats is metadata-only);
+    # larger sets finish as Ray jobs, so driver memory stays bounded.
+    # 0 sends every Ray-side feats set to the Ray finish (tests force it).
     LOCAL_FEATS_MAX = 100_000
 
     def _has_is_test(self) -> bool:
@@ -906,12 +910,13 @@ class Engine:
                 probe_blocks=self._probe_block_stats,
             )
             # fresh LimitedSearchResults record (global mode applies only
-            # max_results, inside the MaxScore top-k itself)
+            # max_results, inside the MaxScore top-k itself, and never
+            # reads content, so the byte and token totals are not tracked)
             self.last_search_meta = dict(
                 n_results=result.num_rows,
                 limits_applied=(
                     dict(max_results=max_results, max_bytes=None,
-                         max_tokens=None, total_bytes=0, total_tokens=0)
+                         max_tokens=None, total_bytes=None, total_tokens=None)
                     if max_results is not None else None
                 ),
                 n_skipped_by_limits=0,
@@ -919,21 +924,16 @@ class Engine:
                 files_skipped_early_termination=None,
             )
             return result
-        self._last_limits_meta = None
-        result = self._search_compat(
+        result, lm = self._search_compat(
             ctx, queries, exact, max_results, max_bytes, max_tokens,
             files_only, seen, allow_tests, exhaustive,
         )
         if reranker in _rr.RERANKER_MODELS and not files_only:
             result = self._rerank_result(result, queries, question, reranker)
         # LimitedSearchResults metadata (models.rs:2-9) at doc granularity
-        lm = self._last_limits_meta or dict(
-            limits_applied=None, n_skipped_by_limits=0
-        )
         self.last_search_meta = dict(
             n_results=result.num_rows,
-            limits_applied=lm.get("limits_applied"),
-            n_skipped_by_limits=lm.get("n_skipped_by_limits", 0),
+            **lm,
             cached_blocks_skipped=None,
             files_skipped_early_termination=None,
         )
@@ -1176,176 +1176,54 @@ class Engine:
             else None
         )
         if early_feats is not None:
-            feats = early_feats
+            feats, n = early_feats, early_feats.num_rows
         elif local_tbl is not None:
             mask = np.isin(local_tbl.column("doc_id").to_numpy(), cand_ids)
             feats = extract(local_tbl.filter(pa.array(mask)))
+            n = feats.num_rows
         else:
-            feats_ds = (
+            feats, n = self._place_feats(
                 self._fetch_candidates(cand_ids, cols)
                 .map_batches(extract, batch_format="pyarrow")
-                .materialize()
+                .materialize(),
+                _BLOCK_FINISH,
             )
-            n_feats = feats_ds.count()
-            if n_feats == 0:
-                return _BLOCK_SCHEMA.empty_table()
-            if (
-                n_feats > self.LOCAL_BLOCK_FEATS_MAX
-                and not (exact or ast_all_exact or ranking_ast is None)
-            ):
-                # 100x-scale finish: block feats NEVER concatenate on the
-                # driver — distributed stats reduce + per-block top-k +
-                # histogram-located flagged rows (the compat path's scheme
-                # at block granularity)
-                return self._finish_blocks_distributed(
-                    feats_ds, queries, ranking_ast, ranking_terms,
-                    max_results, max_bytes, max_tokens,
-                    no_merge=no_merge, merge_threshold=merge_threshold,
-                    session=session, reranker=reranker, question=question,
-                    n_matched=n_feats,
-                )
-            # zero-row blocks pass through map_batches with the upstream
-            # schema — drop before concat
-            tables = [
-                t
-                for t in (ray.get(r) for r in feats_ds.to_arrow_refs())
-                if t.num_rows > 0
-            ]
-            feats = (
-                pa.concat_tables(tables) if tables else _BLOCK_FEATS_SCHEMA.empty_table()
-            )
-        if feats.num_rows == 0:
+        if n == 0:
             return _BLOCK_SCHEMA.empty_table()
-        # canonical candidate order: (doc_id, start)
-        feats = feats.sort_by([("doc_id", "ascending"), ("start", "ascending")])
-        n = feats.num_rows
-
-        rows: list[dict]
         if exact or ast_all_exact or ranking_ast is None:
-            rows = _block_rows(feats, order=None)
-            rows.sort(key=lambda r: (r["file"], r["start"]))
+            rows = _unranked_rows(_sorted_feats(feats, _BLOCK_FINISH))
         else:
-            if ranking_terms:
-                arr = _tf_matrix(feats.column("tf"), n, dtype=np.int64)
-                df_vec = (arr > 0).sum(axis=0)
-            else:
-                df_vec = np.zeros(0, dtype=np.int64)
-            sum_dl = int(np.sum(feats.column("dl").to_numpy()))
-            avgdl = sum_dl / n
-            idfs = {
-                t: idf(n, int(df))
-                for t, df in zip(ranking_terms, df_vec)
-                if df > 0
-            }
-            bm25_arr, boosted_arr, valid_arr = _score_feats_vectorized(
-                feats, ranking_ast, ranking_terms, idfs, avgdl, len(queries)
+            rows = self._ranked_rows(
+                feats, _BLOCK_FINISH, ranking_ast, ranking_terms, len(queries),
+                cap=max_results if max_results is not None
+                else _BLOCK_SCAN_MAX if limited else None,
             )
-            node_boosts = blk.node_type_boost_vec(
-                feats.column("node_type").to_pylist(),
-                feats.column("start").to_numpy(),
-                feats.column("end").to_numpy(),
-            )
-            boosted_arr = boosted_arr * node_boosts
-            valid_idx = np.flatnonzero(valid_arr)
-            order = valid_idx[
-                np.lexsort(
-                    (valid_idx, -bm25_arr[valid_idx], -boosted_arr[valid_idx])
-                )
-            ]
-            k = len(order)
-            # limits only ever admit the first max_iter rows (ranked then
-            # flagged) — materialize dict rows for just that prefix
-            limited = (
-                max_results is not None or max_bytes is not None
-                or max_tokens is not None
-            )
-            max_iter = (
-                min(max_results if max_results is not None else 1000, n)
-                if limited else None
-            )
-            order_out = order if max_iter is None else order[:max_iter]
-            ranked_rows = _block_rows(feats, order=order_out, bm25=bm25_arr,
-                                      boosted=boosted_arr)
-            flagged_idx = np.arange(k, n)
-            if flagged_idx.size:
-                repos_f = feats.column("repo").take(
-                    pa.array(flagged_idx)
-                ).to_pylist()
-                paths_f = feats.column("path").take(
-                    pa.array(flagged_idx)
-                ).to_pylist()
-                starts_f = feats.column("start").take(
-                    pa.array(flagged_idx)
-                ).to_pylist()
-                fkeys = [
-                    (f"{r}/{p}", s) for r, p, s in zip(repos_f, paths_f, starts_f)
-                ]
-                forder = sorted(range(len(fkeys)), key=fkeys.__getitem__)
-                if max_iter is not None:
-                    need = max(0, max_iter - len(ranked_rows))
-                    forder = forder[:need]
-                flagged_rows = _block_rows(
-                    feats, order=flagged_idx[forder], bm25=None, boosted=None
-                )
-            else:
-                flagged_rows = []
-            rows = ranked_rows + flagged_rows
-
+        # limits over block code bytes (search_limiter.rs:22-226)
+        rows, limits_meta = _apply_limits_rows(
+            rows, "n_code_bytes", n, max_results, max_bytes, max_tokens,
+            max_iter=_BLOCK_SCAN_MAX,
+        )
         return self._assemble_block_results(
-            rows, queries, max_results, max_bytes, max_tokens,
-            no_merge=no_merge, merge_threshold=merge_threshold, session=session,
-            reranker=reranker, question=question, n_matched=n,
+            rows, limits_meta, queries, no_merge=no_merge,
+            merge_threshold=merge_threshold, session=session,
+            reranker=reranker, question=question,
         )
 
     def _assemble_block_results(
-        self, rows, queries, max_results, max_bytes, max_tokens,
-        *, no_merge, merge_threshold, session,
-        reranker="bm25", question=None, n_matched=None,
+        self, rows, limits_meta, queries, *, no_merge, merge_threshold,
+        session, reranker="bm25", question=None,
     ) -> pa.Table:
-        """Shared block finish: limits over code bytes -> code attach ->
-        contained dedup -> adjacent merge -> session record -> optional
-        cross-encoder rerank of the admitted blocks -> table."""
+        """Block finish after the limits: code attach -> contained dedup ->
+        adjacent merge -> session record -> optional cross-encoder rerank
+        of the admitted blocks -> table."""
         from probe_ray import rerank as _rr
         from probe_ray import blocks as blk
-
-        # limits over block code bytes (search_limiter.rs:22-226)
-        pre_limit = len(rows)
-        limits_meta = dict(limits_applied=None, n_skipped_by_limits=0)
-        if max_results is not None or max_bytes is not None or max_tokens is not None:
-            max_iter = min(max_results if max_results is not None else 1000, len(rows))
-            out_rows: list[dict] = []
-            tb = tt = 0
-            for i, r in enumerate(rows):
-                if i >= max_iter:
-                    break
-                size = r["n_code_bytes"]
-                if max_results is not None and len(out_rows) >= max_results:
-                    break
-                if max_bytes is not None and tb + size > max_bytes and out_rows:
-                    break
-                toks = size // 4
-                if max_tokens is not None and tt + toks > max_tokens and out_rows:
-                    break
-                tb += size
-                tt += toks
-                out_rows.append(r)
-            rows = out_rows
-            # callers that pre-trim candidate rows for scale pass the true
-            # matched-block count so the skip count reflects everything the
-            # limits cut, not just the finish-local trim
-            base = n_matched if n_matched is not None else pre_limit
-            limits_meta = dict(
-                limits_applied=dict(
-                    max_results=max_results, max_bytes=max_bytes,
-                    max_tokens=max_tokens, total_bytes=tb, total_tokens=tt,
-                ),
-                n_skipped_by_limits=max(base - len(rows), 0),
-            )
 
         # attach code text for the surviving rows (content only for the
         # final files — small), then contained dedup + adjacent merge
         file_lines = self._file_lines_for(sorted({r["doc_id"] for r in rows}))
         for r in rows:
+            r["file"] = f"{r['repo']}/{r['path']}"
             lines = file_lines[r["doc_id"]]
             r["code"] = "\n".join(lines[r["start"] - 1 : r["end"]])
         rows = blk.dedupe_contained_blocks(rows)
@@ -1408,218 +1286,6 @@ class Engine:
             ),
         )
         return out
-
-    # beyond this many block-feat rows the ranking finish goes distributed
-    # (stats reduce + per-block top-k); below it the driver concat is faster
-    LOCAL_BLOCK_FEATS_MAX = 200_000
-    _KEY_SHIFT = 21  # cand_key = doc_id << 21 | start (files are <= 1 MiB
-    #                  so line numbers stay well under 2^21)
-
-    def _finish_blocks_distributed(
-        self, feats_ds: rd.Dataset, queries, ranking_ast, ranking_terms,
-        max_results, max_bytes, max_tokens, *, no_merge, merge_threshold,
-        session, reranker="bm25", question=None, n_matched=None,
-    ) -> pa.Table:
-        """Block-granularity analogue of _finish_ranked_distributed: the
-        feats Dataset never concatenates driver-side. Canonical candidate
-        order is (doc_id, start) == ascending cand_key."""
-        from probe_ray import blocks as blk
-
-        HB = self._HIST_BUCKETS
-        SHIFT = self._KEY_SHIFT
-        key_max = max((self._stats["n_docs"] + 1) << SHIFT, 1)
-        # Divide-before-multiply: key can reach n_docs<<21, so `key * HB`
-        # would wrap int64 past ~2^30 docs. Bucket by floor-div of a
-        # ceil-width instead (clamped defensively).
-        bucket_w = max(1, -(-key_max // HB))
-        rt = list(ranking_terms)
-        n_queries = len(queries)
-
-        def keys_of(tbl: pa.Table) -> np.ndarray:
-            ids = tbl.column("doc_id").to_numpy().astype(np.int64)
-            starts = tbl.column("start").to_numpy().astype(np.int64)
-            return (ids << SHIFT) + starts
-
-        def partials(tbl: pa.Table) -> pa.Table:
-            n = tbl.num_rows
-            if n == 0:
-                return pa.table(
-                    {"n": pa.array([], pa.int64()),
-                     "sum_dl": pa.array([], pa.int64()),
-                     "df": pa.array([], pa.list_(pa.int64())),
-                     "n_valid": pa.array([], pa.int64()),
-                     "hist": pa.array([], pa.list_(pa.int64()))}
-                )
-            if rt:
-                tfm = _tf_matrix(tbl.column("tf"), n, dtype=np.int64)
-                df_vec = (tfm > 0).sum(axis=0)
-            else:
-                df_vec = np.zeros(0, dtype=np.int64)
-            _, _, valid = _score_feats_vectorized(
-                tbl, ranking_ast, rt, {t: 1.0 for t in rt}, 1.0, n_queries
-            )
-            hist = np.bincount(
-                np.minimum(keys_of(tbl) // bucket_w, HB - 1), minlength=HB
-            )
-            return pa.table(
-                {
-                    "n": pa.array([n], pa.int64()),
-                    "sum_dl": pa.array(
-                        [int(tbl.column("dl").to_numpy().sum())], pa.int64()
-                    ),
-                    "df": pa.array([df_vec.tolist()], pa.list_(pa.int64())),
-                    "n_valid": pa.array([int(valid.sum())], pa.int64()),
-                    "hist": pa.array([hist.tolist()], pa.list_(pa.int64())),
-                }
-            )
-
-        parts = feats_ds.map_batches(partials, batch_format="pyarrow").take_all()
-        n_cand = sum(p["n"] for p in parts)
-        if n_cand == 0:
-            return _BLOCK_SCHEMA.empty_table()
-        avgdl = sum(p["sum_dl"] for p in parts) / n_cand
-        df_vec = (
-            np.sum([p["df"] for p in parts], axis=0)
-            if rt else np.zeros(0, dtype=np.int64)
-        )
-        k_valid = sum(p["n_valid"] for p in parts)
-        hist = np.sum([p["hist"] for p in parts], axis=0)
-        idfs = {t: idf(n_cand, int(df)) for t, df in zip(rt, df_vec) if df > 0}
-
-        out_cols = ["doc_id", "repo", "path", "start", "end", "node_type",
-                    "matched_keywords", "matched_lines", "n_code_bytes"]
-        part_schema = pa.schema(
-            list(_BLOCK_FEATS_SCHEMA.field(c) for c in out_cols)
-            + [pa.field("bm25", pa.float64()), pa.field("boosted", pa.float64())]
-        )
-        cap = max_results
-
-        def score_topk(tbl: pa.Table) -> pa.Table:
-            if tbl.num_rows == 0:
-                return part_schema.empty_table()
-            bm25_a, boosted_a, valid_a = _score_feats_vectorized(
-                tbl, ranking_ast, rt, idfs, avgdl, n_queries
-            )
-            node = blk.node_type_boost_vec(
-                tbl.column("node_type").to_pylist(),
-                tbl.column("start").to_numpy(),
-                tbl.column("end").to_numpy(),
-            )
-            boosted_a = boosted_a * node
-            keys = keys_of(tbl)
-            vi = np.flatnonzero(valid_a)
-            if vi.size == 0:
-                return part_schema.empty_table()
-            order = vi[np.lexsort((keys[vi], -bm25_a[vi], -boosted_a[vi]))]
-            if cap is not None:
-                order = order[:cap]
-            sel = tbl.select(out_cols).take(pa.array(order))
-            sel = sel.append_column("bm25", pa.array(bm25_a[order], pa.float64()))
-            sel = sel.append_column(
-                "boosted", pa.array(boosted_a[order], pa.float64())
-            )
-            return sel.cast(part_schema)
-
-        part_tables = [
-            t
-            for t in (
-                ray.get(r)
-                for r in feats_ds.map_batches(
-                    score_topk, batch_format="pyarrow"
-                ).to_arrow_refs()
-            )
-            if t.num_rows > 0
-        ]
-        ranked_tbl = (
-            pa.concat_tables(part_tables) if part_tables
-            else part_schema.empty_table()
-        )
-        keys_m = keys_of(ranked_tbl) if ranked_tbl.num_rows else np.empty(0, np.int64)
-        bm_m = ranked_tbl.column("bm25").to_numpy()
-        bo_m = ranked_tbl.column("boosted").to_numpy()
-        order_m = np.lexsort((keys_m, -bm_m, -bo_m))
-        if max_results is not None:
-            order_m = order_m[:max_results]
-        merged = ranked_tbl.take(pa.array(order_m))
-        rows = [
-            dict(
-                doc_id=r["doc_id"], repo=r["repo"], path=r["path"],
-                file=f"{r['repo']}/{r['path']}", start=r["start"],
-                end=r["end"], node_type=r["node_type"], rank=i + 1,
-                score=float(r["boosted"]), bm25_score=float(r["bm25"]),
-                matched_keywords=list(r["matched_keywords"]),
-                matched_lines=list(r["matched_lines"]),
-                n_code_bytes=r["n_code_bytes"], but=None, total=None,
-            )
-            for i, r in enumerate(merged.to_pylist())
-        ]
-
-        need_flagged = (
-            None if max_results is None else max(0, max_results - len(rows))
-        )
-        if k_valid < n_cand and (need_flagged is None or need_flagged > 0):
-            if k_valid == 0:
-                d_star = 0
-            else:
-                cum = np.cumsum(hist)
-                b0 = int(np.searchsorted(cum, k_valid, side="right"))
-                prior = int(cum[b0 - 1]) if b0 > 0 else 0
-
-                def pick_bucket(tbl: pa.Table) -> pa.Table:
-                    keys = keys_of(tbl)
-                    mask = np.minimum(keys // bucket_w, HB - 1) == b0
-                    return pa.table({"k": pa.array(keys[mask], pa.int64())})
-
-                bucket_keys = np.sort(
-                    np.concatenate(
-                        [
-                            b.column("k").to_numpy()
-                            for b in feats_ds.map_batches(
-                                pick_bucket, batch_format="pyarrow"
-                            ).iter_batches(batch_format="pyarrow")
-                        ]
-                        or [np.empty(0, dtype=np.int64)]
-                    )
-                )
-                d_star = int(bucket_keys[k_valid - prior])
-
-            def add_keycol(tbl: pa.Table) -> pa.Table:
-                tbl = tbl.append_column(
-                    "cand_key", pa.array(keys_of(tbl), pa.int64())
-                )
-                return self._file_key_column(tbl)
-
-            flagged_ds = (
-                feats_ds.map_batches(add_keycol, batch_format="pyarrow")
-                .filter(expr=f"cand_key >= {d_star}")
-                .sort(["file_key", "start"])
-            )
-            n_flagged = 0
-            for batch in flagged_ds.iter_batches(batch_format="pyarrow"):
-                stop = False
-                for r in batch.to_pylist():
-                    if need_flagged is not None and n_flagged >= need_flagged:
-                        stop = True
-                        break
-                    n_flagged += 1
-                    rows.append(
-                        dict(
-                            doc_id=r["doc_id"], repo=r["repo"], path=r["path"],
-                            file=f"{r['repo']}/{r['path']}", start=r["start"],
-                            end=r["end"], node_type=r["node_type"], rank=None,
-                            score=0.0, bm25_score=0.0,
-                            matched_keywords=list(r["matched_keywords"]),
-                            matched_lines=list(r["matched_lines"]),
-                            n_code_bytes=r["n_code_bytes"], but=None, total=None,
-                        )
-                    )
-                if stop:
-                    break
-        return self._assemble_block_results(
-            rows, queries, max_results, max_bytes, max_tokens,
-            no_merge=no_merge, merge_threshold=merge_threshold, session=session,
-            reranker=reranker, question=question, n_matched=n_matched,
-        )
 
     def _docs_rows_for(self, ids: np.ndarray, cols: list[str]) -> pa.Table:
         """Doc rows for the given sorted ids (early-termination chunks are
@@ -1918,7 +1584,8 @@ class Engine:
         seen: set[str] | None = None,
         allow_tests: bool = True,
         exhaustive: bool = False,
-    ) -> pa.Table:
+    ) -> tuple[pa.Table, dict]:
+        """Doc results and their LimitedSearchResults limits record."""
         plan = ctx.plan
         local_tbl = self._local_docs_table()
         fname_matches = self._filename_match_term_ids(
@@ -2002,7 +1669,7 @@ class Engine:
                 # behavior); verification decides
                 cand_ids = np.arange(self._stats["n_docs"], dtype=np.int64)
             if cand_ids.size == 0:
-                return _empty_result()
+                return _empty_result(), _NO_LIMITS
             local_cap = (
                 self.LOCAL_VECTOR_CAND_MAX if fast else self.LOCAL_CAND_MAX
             )
@@ -2035,421 +1702,158 @@ class Engine:
                 files_only=files_only, seen=seen, allow_tests=allow_tests,
             )
         if cand_tbl is None:
-            # DISTRIBUTED finish (the 100x-scale path): the feats Dataset
-            # never materializes on the driver. Stats are a tiny per-block
-            # reduce; scoring + per-block top-k run in map_batches; the
-            # driver merges <= k rows per block; the positional-overwrite
-            # flagged set is located via a doc-id histogram + one narrow
-            # boundary-resolve pass (SURVEY.md §7.4's plan, VERDICT item 2).
-            feats_ds = cand_ds.map_batches(
-                verify, batch_format="pyarrow"
-            ).materialize()
-            if files_only or exact or ctx.ast_all_exact:
-                return self._finish_exact_distributed(
-                    feats_ds, plan, max_results, max_bytes, max_tokens
-                )
-            if ranking_ast is None:
-                return _empty_result()
-            return self._finish_ranked_distributed(
-                feats_ds, plan, queries, ranking_ast, ranking_terms,
-                max_results, max_bytes, max_tokens,
+            feats, n = self._place_feats(
+                cand_ds.map_batches(verify, batch_format="pyarrow").materialize(),
+                _DOC_FINISH,
             )
-
-        feats_tbl = verify(cand_tbl, cand_mask) if fast else verify(cand_tbl)
-
-        if files_only or exact or ctx.ast_all_exact:
-            self._last_limits_meta = {}
-            return _finish_exact_local(
-                feats_tbl, plan, max_results, max_bytes, max_tokens,
-                meta=self._last_limits_meta,
-            )
-
-        n = feats_tbl.num_rows
-        if n == 0 or ranking_ast is None:
-            return _empty_result()
-
-        # candidate-set statistics: N, avgdl, df per ranking term
-        # (J6/A3 in SURVEY.md §3; candidate-set semantics per §7.4)
-        if ranking_terms:
-            arr = _tf_matrix(feats_tbl.column("tf"), n, dtype=np.int64)
-            df_vec = (arr > 0).sum(axis=0)
         else:
-            df_vec = np.zeros(0, dtype=np.int64)
-        sum_dl = int(np.sum(feats_tbl.column("dl").to_numpy()))
-        avgdl = sum_dl / n
-        idfs = {
-            t: idf(n, int(df))
-            for t, df in zip(ranking_terms, df_vec)
-            if df > 0
-        }
+            feats = verify(cand_tbl, cand_mask) if fast else verify(cand_tbl)
+            n = feats.num_rows
 
-        bm25_arr, boosted_arr, valid_arr = _score_feats_vectorized(
-            feats_tbl, ranking_ast, ranking_terms, idfs, avgdl, len(queries)
-        )
-        ids_arr = feats_tbl.column("doc_id").to_numpy()
-
-        # final order: (-boosted, -bm25, doc_id) == the reference's stable
-        # boosted-desc sort over (bm25 desc, candidate-index asc) — oracle.py
-        valid_idx = np.flatnonzero(valid_arr)
-        order = valid_idx[
-            np.lexsort(
-                (ids_arr[valid_idx], -bm25_arr[valid_idx], -boosted_arr[valid_idx])
+        ranked = not (files_only or exact or ctx.ast_all_exact)
+        if not ranked:
+            rows = _unranked_rows(_sorted_feats(feats, _DOC_FINISH))
+        elif n == 0 or ranking_ast is None:
+            return _empty_result(), _NO_LIMITS
+        else:
+            rows = self._ranked_rows(
+                feats, _DOC_FINISH, ranking_ast, ranking_terms, len(queries),
+                cap=max_results,
             )
-        ]
-        k = len(order)
-        # positional-overwrite quirk (result_ranking.rs:337-358): trailing
-        # candidates (in doc-id order) become flagged rank=None entries
-        ids_sorted_pos = np.argsort(ids_arr, kind="stable")
-        flagged_pos = ids_sorted_pos[k:]
-
-        repos_l = feats_tbl.column("repo").to_pylist()
-        paths_l = feats_tbl.column("path").to_pylist()
-        kws_b = feats_tbl.column("kws_bits").to_pylist()
-        mts_b = feats_tbl.column("matched_bits").to_pylist()
-        plan_terms = sorted(plan.term_indices, key=plan.term_indices.__getitem__)
-        flagged_order = sorted(
-            flagged_pos.tolist(), key=lambda i: f"{repos_l[i]}/{paths_l[i]}"
+        rows, limits_meta = _apply_limits_rows(
+            rows, "n_bytes", n, max_results, max_bytes, max_tokens
         )
-        if max_results is not None and max_bytes is None and max_tokens is None:
-            order = order[:max_results]
-            flagged_order = flagged_order[: max(0, max_results - len(order))]
-        out_rows = [
-            dict(doc_id=int(ids_arr[i]), repo=repos_l[i], path=paths_l[i],
-                 rank=r + 1, score=float(boosted_arr[i]),
-                 bm25_score=float(bm25_arr[i]),
-                 matched_terms=_bits_to_terms(kws_b[i], plan_terms))
-            for r, i in enumerate(order.tolist())
-        ]
-        out_rows += [
-            dict(doc_id=int(ids_arr[i]), repo=repos_l[i], path=paths_l[i],
-                 rank=None, score=0.0, bm25_score=0.0,
-                 matched_terms=_bits_to_terms(mts_b[i], plan_terms))
-            for i in flagged_order
-        ]
-        limits_meta: dict = {}
-        out_rows = _apply_limits_rows(out_rows, max_results, max_bytes, max_tokens,
-                                      nbytes_by_id=dict(zip(
-                                          feats_tbl.column("doc_id").to_pylist(),
-                                          feats_tbl.column("n_bytes").to_pylist(),
-                                      )), meta=limits_meta)
-        if limits_meta.get("limits_applied") is not None:
-            # ranked+flagged rows are pre-capped for scale; the true skip
-            # count is measured against ALL verified matched docs (n)
-            limits_meta["n_skipped_by_limits"] = max(n - len(out_rows), 0)
-        self._last_limits_meta = limits_meta
-        # whole-file contained-dedup (block_merging.rs:17-118)
-        seen: dict[str, dict] = {}
-        deduped = []
-        for r in out_rows:
-            key = f"{r['repo']}/{r['path']}"
-            if key in seen:
-                seen[key]["matched_terms"] = sorted(
-                    set(seen[key]["matched_terms"]) | set(r["matched_terms"])
-                )
-                continue
-            seen[key] = r
-            deduped.append(r)
-        return _dicts_to_result(deduped)
+        plan_terms = sorted(plan.term_indices, key=plan.term_indices.__getitem__)
+        for r in rows:
+            bits = r["kws_bits"] if r["rank"] is not None else r["matched_bits"]
+            r["matched_terms"] = _bits_to_terms(bits, plan_terms)
+        return _dicts_to_result(_dedupe_files(rows) if ranked else rows), limits_meta
 
-    # -- distributed compat finish (no O(candidates) driver state) ----------
+    # -- shared finishes (docs and blocks; in-process or as Ray jobs) --------
 
     _HIST_BUCKETS = 4096
 
-    @staticmethod
-    def _file_key_column(batch: pa.Table) -> pa.Table:
-        key = pc.binary_join_element_wise(
-            batch.column("repo").combine_chunks(),
-            batch.column("path").combine_chunks(),
-            pa.scalar("/"),
-        )
-        return batch.append_column("file_key", key)
+    def _place_feats(
+        self, feats_ds: rd.Dataset, spec: _FinishSpec
+    ) -> tuple[pa.Table | rd.Dataset, int]:
+        """Where the finish runs: materialized feats of up to LOCAL_FEATS_MAX
+        rows come to the driver as one table, larger sets stay a Dataset
+        and finish as Ray jobs. Returns the feats and their row count."""
+        n = feats_ds.count()
+        if n > self.LOCAL_FEATS_MAX:
+            return feats_ds, n
+        # zero-row blocks keep their upstream schema (Ray forwards them
+        # without calling the UDF): drop them before the concat
+        tables = [
+            t for t in (ray.get(r) for r in feats_ds.to_arrow_refs())
+            if t.num_rows > 0
+        ]
+        return (pa.concat_tables(tables) if tables else spec.schema.empty_table()), n
 
-    def _finish_exact_distributed(
-        self, feats_ds: rd.Dataset, plan, max_results, max_bytes, max_tokens
-    ) -> pa.Table:
-        """files_only / exact path at scale: Ray-side sort by the joined
-        file key, then a STREAMING driver consume that stops as soon as the
-        running-total limits are satisfied. Small feats sets short-circuit
-        to a driver sort (a Ray Sort job has ~1 s fixed overhead)."""
-        if feats_ds.count() <= self.LOCAL_FEATS_MAX:
-            # zero-row blocks keep their upstream schema (Ray forwards
-            # them without calling the UDF) — drop before concat
-            parts = [
-                t for t in
-                (ray.get(r) for r in feats_ds.to_arrow_refs())
-                if t.num_rows > 0
-            ]
-            tbl = (
-                pa.concat_tables(parts)
-                if parts else _FEATS_SCHEMA.empty_table()
-            )
-            self._last_limits_meta = {}
-            return _finish_exact_local(
-                tbl, plan, max_results, max_bytes, max_tokens,
-                meta=self._last_limits_meta,
-            )
-        n_matched = feats_ds.count()
-        sorted_ds = feats_ds.map_batches(
-            self._file_key_column, batch_format="pyarrow"
-        ).sort("file_key")
-        pt = sorted(plan.term_indices, key=plan.term_indices.__getitem__)
-        out_rows: list[dict] = []
-        total_bytes = total_tokens = 0
-        for batch in sorted_ds.iter_batches(batch_format="pyarrow"):
-            stop = False
-            for r in batch.to_pylist():
-                if max_results is not None and len(out_rows) >= max_results:
-                    stop = True
-                    break
-                size = r["n_bytes"]
-                if max_bytes is not None and total_bytes + size > max_bytes and out_rows:
-                    stop = True
-                    break
-                toks = size // 4
-                if max_tokens is not None and total_tokens + toks > max_tokens and out_rows:
-                    stop = True
-                    break
-                total_bytes += size
-                total_tokens += toks
-                r["matched_terms"] = _bits_to_terms(r.get("matched_bits", b""), pt)
-                out_rows.append(r)
-            if stop:
-                break
-        limited = (
-            max_results is not None or max_bytes is not None
-            or max_tokens is not None
-        )
-        self._last_limits_meta = dict(
-            limits_applied=(
-                dict(max_results=max_results, max_bytes=max_bytes,
-                     max_tokens=max_tokens, total_bytes=total_bytes,
-                     total_tokens=total_tokens)
-                if limited else None
-            ),
-            n_skipped_by_limits=(
-                max(n_matched - len(out_rows), 0) if limited else 0
-            ),
-        )
-        return _rows_to_result(out_rows, ranked=False)
-
-    def _finish_ranked_distributed(
-        self, feats_ds: rd.Dataset, plan, queries, ranking_ast, ranking_terms,
-        max_results, max_bytes, max_tokens,
-    ) -> pa.Table:
-        HB = self._HIST_BUCKETS
-        n_docs_total = max(self._stats["n_docs"], 1)
-        # Divide-before-multiply (overflow-proof bucketing; see the block
-        # path's bucket_w note).
-        bucket_w = max(1, -(-n_docs_total // HB))
+    def _ranked_rows(
+        self, feats, spec: _FinishSpec, ranking_ast, ranking_terms,
+        n_queries: int, cap: int | None,
+    ):
+        """The ranked finish, a scatter-gather top-k (REPOSE): per-block
+        stats partials reduce to candidate-set BM25 statistics (N, avgdl,
+        df — SURVEY.md §7.4); each block scores its rows and keeps its top
+        ``cap``; the driver merges them in (-score, -bm25_score, cand_key)
+        order, the reference's stable boosted sort over the bm25 order
+        (oracle.py). Yields those rows with rank 1.., then the flagged rows
+        of the positional-overwrite quirk (result_ranking.rs:337-358): the
+        candidates past the k_valid-th in cand_key order, in file order
+        with rank None. The k_valid-th key is located by a key histogram
+        and one read of the keys in its bucket, so no O(candidates) state
+        reaches the driver; flagged rows are only located once the
+        consumer reads past the ranked ones."""
+        hb = self._HIST_BUCKETS
+        key_max = (self._stats["n_docs"] + 1) << spec.shift
+        # divide before multiply: key * hb would wrap int64 on big corpora
+        bucket_w = max(1, -(-key_max // hb))
         rt = list(ranking_terms)
-        n_queries = len(queries)
 
-        # --- pass A: per-block stats partials (tiny rows) ---
+        def buckets(keys: np.ndarray) -> np.ndarray:
+            return np.minimum(keys // bucket_w, hb - 1)
+
         def partials(tbl: pa.Table) -> pa.Table:
-            n = tbl.num_rows
-            if n == 0:
-                return pa.table(
-                    {"n": pa.array([], pa.int64()),
-                     "sum_dl": pa.array([], pa.int64()),
-                     "df": pa.array([], pa.list_(pa.int64())),
-                     "n_valid": pa.array([], pa.int64()),
-                     "hist": pa.array([], pa.list_(pa.int64()))}
-                )
-            if rt:
-                tfm = _tf_matrix(tbl.column("tf"), n, dtype=np.int64)
-                df_vec = (tfm > 0).sum(axis=0)
-            else:
-                df_vec = np.zeros(0, dtype=np.int64)
-            # validity is independent of idf/avgdl VALUES (a term contributes
-            # iff tf>0, and tf>0 here implies global df>0): indicator stats
-            _, _, valid = _score_feats_vectorized(
-                tbl, ranking_ast, rt, {t: 1.0 for t in rt}, 1.0, n_queries
+            # one summable vector per block: [sum_dl, df per term, key hist]
+            df = (
+                (_tf_matrix(tbl.column("tf"), tbl.num_rows, np.int64) > 0).sum(axis=0)
+                if rt else np.zeros(0, np.int64)
             )
-            ids = tbl.column("doc_id").to_numpy()
-            hist = np.bincount(
-                np.minimum(ids.astype(np.int64) // bucket_w, HB - 1),
-                minlength=HB,
-            )
-            return pa.table(
-                {
-                    "n": pa.array([n], pa.int64()),
-                    "sum_dl": pa.array(
-                        [int(tbl.column("dl").to_numpy().sum())], pa.int64()
-                    ),
-                    "df": pa.array([df_vec.tolist()], pa.list_(pa.int64())),
-                    "n_valid": pa.array([int(valid.sum())], pa.int64()),
-                    "hist": pa.array([hist.tolist()], pa.list_(pa.int64())),
-                }
-            )
+            hist = np.bincount(buckets(_cand_keys(tbl, spec.shift)), minlength=hb)
+            vec = np.concatenate([[tbl.column("dl").to_numpy().sum()], df, hist])
+            return pa.table({"stats": pa.FixedSizeListArray.from_arrays(
+                pa.array(vec, pa.int64()), vec.size
+            )})
 
-        parts = feats_ds.map_batches(partials, batch_format="pyarrow").take_all()
-        if not parts:
-            return _empty_result()
-        n_cand = sum(p["n"] for p in parts)
-        if n_cand == 0:
-            return _empty_result()
-        sum_dl = sum(p["sum_dl"] for p in parts)
-        avgdl = sum_dl / n_cand
-        df_vec = (
-            np.sum([p["df"] for p in parts], axis=0)
-            if rt else np.zeros(0, dtype=np.int64)
+        parts = pa.concat_tables(_map_feats(feats, partials)).column("stats")
+        stats = (
+            parts.combine_chunks().flatten().to_numpy()
+            .reshape(len(parts), -1).sum(axis=0)
         )
-        k_valid = sum(p["n_valid"] for p in parts)
-        hist = np.sum([p["hist"] for p in parts], axis=0)
-        idfs = {
-            t: idf(n_cand, int(df)) for t, df in zip(rt, df_vec) if df > 0
-        }
-        plan_terms = sorted(plan.term_indices, key=plan.term_indices.__getitem__)
-
-        # --- pass B: score + per-block top-k (k rows per block max) ---
-        cap = max_results
-
-        part_schema = pa.schema(
-            [("doc_id", pa.int64()), ("repo", pa.string()),
-             ("path", pa.string()), ("kws_bits", pa.binary()),
-             ("n_bytes", pa.int64()), ("bm25", pa.float64()),
-             ("boosted", pa.float64())]
+        sum_dl, df_vec, hist = stats[0], stats[1 : 1 + len(rt)], stats[1 + len(rt) :]
+        n_cand = int(hist.sum())
+        avgdl = int(sum_dl) / n_cand
+        idfs = {t: idf(n_cand, int(df)) for t, df in zip(rt, df_vec) if df > 0}
+        top_schema = pa.schema(
+            [spec.schema.field(c) for c in spec.row_cols]
+            + [("cand_key", pa.int64()), ("score", pa.float64()),
+               ("bm25_score", pa.float64()), ("n_valid", pa.int64())]
         )
 
         def score_topk(tbl: pa.Table) -> pa.Table:
-            n = tbl.num_rows
-            if n == 0:
-                return part_schema.empty_table()
-            bm25_a, boosted_a, valid_a = _score_feats_vectorized(
+            bm25, boosted, valid = _score_feats_vectorized(
                 tbl, ranking_ast, rt, idfs, avgdl, n_queries
             )
-            ids = tbl.column("doc_id").to_numpy()
-            vi = np.flatnonzero(valid_a)
-            if vi.size == 0:
-                return part_schema.empty_table()
-            order = vi[np.lexsort((ids[vi], -bm25_a[vi], -boosted_a[vi]))]
-            if cap is not None:
-                order = order[:cap]
-            sel = tbl.select(["doc_id", "repo", "path", "kws_bits", "n_bytes"]).take(
-                pa.array(order)
-            )
-            sel = sel.append_column("bm25", pa.array(bm25_a[order], pa.float64()))
-            sel = sel.append_column(
-                "boosted", pa.array(boosted_a[order], pa.float64())
-            )
-            return sel.cast(part_schema)
+            if spec.boost is not None:
+                boosted = boosted * spec.boost(tbl)
+            keys = _cand_keys(tbl, spec.shift)
+            vi = np.flatnonzero(valid)
+            order = vi[np.lexsort((keys[vi], -bm25[vi], -boosted[vi]))][:cap]
+            out = tbl.select(list(spec.row_cols)).take(pa.array(order, pa.int64()))
+            # the block's valid-row count rides on its first kept row (0 on
+            # the others), so the driver's sum over all rows stays right
+            # however Ray Data joins or splits the per-call outputs
+            n_valid = np.zeros(order.size, np.int64)
+            n_valid[:1] = vi.size
+            for name, col in (
+                ("cand_key", keys[order]), ("score", boosted[order]),
+                ("bm25_score", bm25[order]), ("n_valid", n_valid),
+            ):
+                out = out.append_column(name, pa.array(col))
+            return out.cast(top_schema)
 
-        # NOTE: Ray forwards zero-row input blocks through map_batches
-        # without invoking the UDF, so empty blocks can carry the UPSTREAM
-        # schema — drop them before concat
-        part_tables = [
-            t
-            for t in (
-                ray.get(r)
-                for r in feats_ds.map_batches(
-                    score_topk, batch_format="pyarrow"
-                ).to_arrow_refs()
-            )
-            if t.num_rows > 0
-        ]
-        ranked_tbl = (
-            pa.concat_tables(part_tables) if part_tables
-            else part_schema.empty_table()
-        )
-        # driver k-way merge over <= cap rows per block
-        ids_m = ranked_tbl.column("doc_id").to_numpy()
-        bm_m = ranked_tbl.column("bm25").to_numpy()
-        bo_m = ranked_tbl.column("boosted").to_numpy()
-        order_m = np.lexsort((ids_m, -bm_m, -bo_m))
-        if max_results is not None:
-            order_m = order_m[:max_results]
-        merged = ranked_tbl.take(pa.array(order_m))
-        out_rows = [
-            dict(
-                doc_id=r["doc_id"], repo=r["repo"], path=r["path"],
-                rank=i + 1, score=float(r["boosted"]),
-                bm25_score=float(r["bm25"]),
-                matched_terms=_bits_to_terms(r["kws_bits"], plan_terms),
-                n_bytes=r["n_bytes"],
-            )
-            for i, r in enumerate(merged.to_pylist())
-        ]
+        tops = _map_feats(feats, score_topk)
+        k_valid = sum(pc.sum(t.column("n_valid")).as_py() for t in tops)
+        if tops:
+            top = pa.concat_tables(tops)
+            order = np.lexsort((
+                top.column("cand_key").to_numpy(),
+                -top.column("bm25_score").to_numpy(),
+                -top.column("score").to_numpy(),
+            ))[:cap]
+            top = top.take(pa.array(order)).drop_columns(["cand_key", "n_valid"])
+            for rank, r in enumerate(top.to_pylist(), 1):
+                r["rank"] = rank
+                yield r
+        if k_valid == n_cand:
+            return
+        d_star = 0
+        if k_valid:
+            cum = np.cumsum(hist)
+            b0 = int(np.searchsorted(cum, k_valid, side="right"))
+            prior = int(cum[b0 - 1]) if b0 > 0 else 0
 
-        # --- flagged rows (positional-overwrite quirk): the trailing
-        # n_cand - k_valid candidates in doc-id order, located without
-        # materializing candidate ids driver-side ---
-        need_flagged = (
-            None if max_results is None else max(0, max_results - len(out_rows))
-        )
-        flagged_rows: list[dict] = []
-        if k_valid < n_cand and (need_flagged is None or need_flagged > 0):
-            if k_valid == 0:
-                d_star = 0
-            else:
-                cum = np.cumsum(hist)
-                b0 = int(np.searchsorted(cum, k_valid, side="right"))
-                prior = int(cum[b0 - 1]) if b0 > 0 else 0
+            def pick_bucket(tbl: pa.Table) -> pa.Table:
+                keys = _cand_keys(tbl, spec.shift)
+                return pa.table({"k": keys[buckets(keys) == b0]})
 
-                # resolve the k-th smallest candidate doc id exactly by
-                # fetching ONLY the ids in histogram bucket b0
-                def pick_bucket(tbl: pa.Table) -> pa.Table:
-                    ids = tbl.column("doc_id").to_numpy().astype(np.int64)
-                    mask = np.minimum(ids // bucket_w, HB - 1) == b0
-                    return pa.table(
-                        {"doc_id": pa.array(ids[mask], pa.int64())}
-                    )
-                bucket_ids = np.sort(
-                    np.concatenate(
-                        [
-                            b.column("doc_id").to_numpy()
-                            for b in feats_ds.map_batches(
-                                pick_bucket, batch_format="pyarrow"
-                            ).iter_batches(batch_format="pyarrow")
-                        ]
-                        or [np.empty(0, dtype=np.int64)]
-                    )
-                )
-                d_star = int(bucket_ids[k_valid - prior])
-            flagged_ds = (
-                feats_ds.filter(expr=f"doc_id >= {d_star}")
-                .map_batches(self._file_key_column, batch_format="pyarrow")
-                .sort("file_key")
-            )
-            for batch in flagged_ds.iter_batches(batch_format="pyarrow"):
-                stop = False
-                for r in batch.to_pylist():
-                    if need_flagged is not None and len(flagged_rows) >= need_flagged:
-                        stop = True
-                        break
-                    flagged_rows.append(
-                        dict(
-                            doc_id=r["doc_id"], repo=r["repo"], path=r["path"],
-                            rank=None, score=0.0, bm25_score=0.0,
-                            matched_terms=_bits_to_terms(
-                                r["matched_bits"], plan_terms
-                            ),
-                            n_bytes=r["n_bytes"],
-                        )
-                    )
-                if stop:
-                    break
-        all_rows = out_rows + flagged_rows
-        limits_meta: dict = {}
-        all_rows = _apply_limits_rows(all_rows, max_results, max_bytes,
-                                      max_tokens, meta=limits_meta)
-        if limits_meta.get("limits_applied") is not None:
-            limits_meta["n_skipped_by_limits"] = max(
-                int(n_cand) - len(all_rows), 0
-            )
-        self._last_limits_meta = limits_meta
-        # whole-file contained-dedup (block_merging.rs:17-118)
-        seen_files: dict[str, dict] = {}
-        deduped = []
-        for r in all_rows:
-            key = f"{r['repo']}/{r['path']}"
-            if key in seen_files:
-                seen_files[key]["matched_terms"] = sorted(
-                    set(seen_files[key]["matched_terms"]) | set(r["matched_terms"])
-                )
-                continue
-            seen_files[key] = r
-            deduped.append(r)
-        return _dicts_to_result(deduped)
+            in_bucket = np.sort(np.concatenate(
+                [t.column("k").to_numpy() for t in _map_feats(feats, pick_bucket)]
+            ))
+            d_star = int(in_bucket[k_valid - prior])
+        yield from _unranked_rows(_sorted_feats(feats, spec, d_star))
 
     # -- global mode --------------------------------------------------------
 
@@ -2658,6 +2062,9 @@ _BLOCK_FEATS_SCHEMA = pa.schema(
         ("start", pa.int64()),
         ("end", pa.int64()),
         ("node_type", pa.string()),
+        # position among its file's extracted blocks, which come in
+        # (start, end, node_type) order: blocks of one file may share a start
+        ("ord", pa.int32()),
         ("dl", pa.int32()),
         ("tf", pa.list_(pa.int32())),
         ("but", pa.int32()),
@@ -2713,8 +2120,9 @@ def _make_block_extractor(ctx, patterns, fname_matches, ranking_terms, lang_exts
             t: np.isin(ids_np, arr) for t, arr in fnames.items()
         }
         out: dict[str, list] = {k: [] for k in (
-            "doc_id", "repo", "path", "start", "end", "node_type", "dl",
-            "tf", "but", "matched_keywords", "matched_lines", "n_code_bytes")}
+            "doc_id", "repo", "path", "start", "end", "node_type", "ord",
+            "dl", "tf", "but", "matched_keywords", "matched_lines",
+            "n_code_bytes")}
         for row_i, (did, repo, path, content) in enumerate(
             zip(ids, repos, paths, contents)
         ):
@@ -2756,10 +2164,10 @@ def _make_block_extractor(ctx, patterns, fname_matches, ranking_terms, lang_exts
                 term_map = blk.remove_cached_lines(term_map, cached_ranges)
                 if not term_map:
                     continue
-            for b in blk.extract_blocks(
+            for ord_, b in enumerate(blk.extract_blocks(
                 lines, path, term_map, plan, specials,
                 allow_tests=allow_tests, exact=exact,
-            ):
+            )):
                 if (b["start"], b["end"]) in cached_ranges:
                     continue  # exact-id post-filter (cache.rs:318-360;
                     # span already counted with its file's cached ranges)
@@ -2777,6 +2185,7 @@ def _make_block_extractor(ctx, patterns, fname_matches, ranking_terms, lang_exts
                 out["start"].append(b["start"])
                 out["end"].append(b["end"])
                 out["node_type"].append(b["node_type"])
+                out["ord"].append(ord_)
                 out["dl"].append(len(b["tokenized"]))
                 out["tf"].append(tf)
                 out["but"].append(b["but"])
@@ -2793,6 +2202,7 @@ def _make_block_extractor(ctx, patterns, fname_matches, ranking_terms, lang_exts
                 "start": pa.array(out["start"], pa.int64()),
                 "end": pa.array(out["end"], pa.int64()),
                 "node_type": pa.array(out["node_type"], pa.string()),
+                "ord": pa.array(out["ord"], pa.int32()),
                 "dl": pa.array(out["dl"], pa.int32()),
                 "tf": pa.array(out["tf"], pa.list_(pa.int32())),
                 "but": pa.array(out["but"], pa.int32()),
@@ -2807,52 +2217,6 @@ def _make_block_extractor(ctx, patterns, fname_matches, ranking_terms, lang_exts
         )
 
     return extract
-
-
-def _block_rows(feats: pa.Table, order, bm25=None, boosted=None) -> list[dict]:
-    """Materialize block feat rows as result dicts. ``order=None`` takes all
-    rows unranked; an index array takes those rows, ranked sequentially when
-    ``boosted`` is given, else flagged (rank None).
-
-    The selected rows are sliced out with ``take`` BEFORE any Python
-    conversion — limits usually admit ~max_results rows out of thousands of
-    feats, and converting whole list columns to_pylist dominated warm block
-    latency."""
-    ranked = boosted is not None
-    if order is None:
-        sel = feats
-        n_sel = feats.num_rows
-    else:
-        order = np.asarray(order, dtype=np.int64)
-        sel = feats.take(pa.array(order))
-        n_sel = order.size
-        if ranked:
-            bm25 = bm25[order]
-            boosted = boosted[order]
-    ids = sel.column("doc_id").to_pylist()
-    repos = sel.column("repo").to_pylist()
-    paths = sel.column("path").to_pylist()
-    starts = sel.column("start").to_pylist()
-    ends = sel.column("end").to_pylist()
-    node_types = sel.column("node_type").to_pylist()
-    kws = sel.column("matched_keywords").to_pylist()
-    mls = sel.column("matched_lines").to_pylist()
-    nbytes = sel.column("n_code_bytes").to_pylist()
-    rows = []
-    for pos in range(n_sel):
-        rows.append(
-            dict(
-                doc_id=ids[pos], repo=repos[pos], path=paths[pos],
-                file=f"{repos[pos]}/{paths[pos]}",
-                start=starts[pos], end=ends[pos], node_type=node_types[pos],
-                rank=(pos + 1) if ranked else None,
-                score=float(boosted[pos]) if ranked else 0.0,
-                bm25_score=float(bm25[pos]) if ranked else 0.0,
-                matched_keywords=list(kws[pos]), matched_lines=list(mls[pos]),
-                n_code_bytes=nbytes[pos], but=None, total=None,
-            )
-        )
-    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -3163,41 +2527,161 @@ def _make_hybrid_verifier(ctx, lang_exts, fname_matches, ranking_terms,
     return verify
 
 
-def _apply_limits_rows(rows, max_results, max_bytes, max_tokens,
-                       nbytes_by_id=None, meta=None):
-    """Running-total limiting in result order (search_limiter.rs:22-226);
-    token estimate = bytes/4 (search_limiter.rs:151; tiktoken unavailable
-    here — documented deviation, see oracle.estimate_tokens). When
-    ``meta`` is a dict it is populated with the LimitedSearchResults
-    record (models.rs:2-22): the applied limits + running totals and the
-    skipped-row count."""
+# ---------------------------------------------------------------------------
+# Shared finish: the per-block functions run on one in-process feats table
+# or as Ray Data jobs over a materialized feats Dataset; only _map_feats and
+# _sorted_feats tell the two apart
+# ---------------------------------------------------------------------------
+
+_KEY_SHIFT = 21  # block cand_key = doc_id << 21 | ord: unique, in canonical
+#                  (doc_id, start, end, node_type) order (files are <= 1 MiB,
+#                  so a file's block count stays well under 2^21)
+# with limits but no max_results, block limits examine at most this many
+# rows (search_limiter.rs; oracle.oracle_search_blocks' max_iter)
+_BLOCK_SCAN_MAX = 1000
+_NO_LIMITS = dict(limits_applied=None, n_skipped_by_limits=0)
+
+
+@dataclass(frozen=True)
+class _FinishSpec:
+    """How the shared finishes read one kind of feats row."""
+
+    shift: int  # canonical candidate key: doc_id << shift | ord
+    sort_cols: tuple[str, ...]  # file order of unranked rows (cand_key last)
+    row_cols: tuple[str, ...]  # feats columns a finished row carries
+    schema: pa.Schema  # the feats schema
+    boost: Callable[[pa.Table], np.ndarray] | None = None  # per-row factor
+
+
+def _cand_keys(tbl: pa.Table, shift: int) -> np.ndarray:
+    ids = tbl.column("doc_id").to_numpy().astype(np.int64)
+    if not shift:
+        return ids
+    return (ids << shift) + tbl.column("ord").to_numpy().astype(np.int64)
+
+
+def _map_feats(feats: pa.Table | rd.Dataset, fn) -> list[pa.Table]:
+    """``fn`` over every block of the feats: one in-process call on a
+    table, one Ray Data map_batches job over a Dataset. Returns the
+    non-empty outputs (Ray forwards zero-row blocks without calling ``fn``,
+    keeping their upstream schema)."""
+    if isinstance(feats, pa.Table):
+        outs = [fn(feats)] if feats.num_rows else []
+    else:
+        outs = [
+            ray.get(r)
+            for r in feats.map_batches(fn, batch_format="pyarrow").to_arrow_refs()
+        ]
+    return [t for t in outs if t.num_rows > 0]
+
+
+def _sorted_feats(feats: pa.Table | rd.Dataset, spec: _FinishSpec, min_key: int = 0):
+    """Batches of the feats rows with cand_key >= ``min_key``, narrowed to
+    ``spec.row_cols`` plus file_key and cand_key, in (sort_cols, cand_key)
+    order: the unique cand_key keeps the candidate order among rows of one
+    file, as the oracle's stable sort does, also under Ray's unstable sort.
+    An Arrow sort in-process; a Ray Data sort streamed back batch by batch
+    over a Dataset."""
+
+    def prep(tbl: pa.Table) -> pa.Table:
+        keys = _cand_keys(tbl, spec.shift)
+        out = tbl.select(list(spec.row_cols))
+        out = out.append_column("file_key", pc.binary_join_element_wise(
+            out.column("repo"), out.column("path"), "/"
+        )).append_column("cand_key", pa.array(keys, pa.int64()))
+        return out.filter(pa.array(keys >= min_key)) if min_key else out
+
+    cols = [*spec.sort_cols, "cand_key"]
+    if isinstance(feats, pa.Table):
+        return prep(feats).sort_by([(c, "ascending") for c in cols]).to_batches()
+    return (
+        feats.map_batches(prep, batch_format="pyarrow")
+        .sort(cols)
+        .iter_batches(batch_format="pyarrow")
+    )
+
+
+def _unranked_rows(batches):
+    """Finished rows, unranked (rank None, zero scores), from sorted batches."""
+    for batch in batches:
+        for r in batch.to_pylist():
+            r.update(rank=None, score=0.0, bm25_score=0.0)
+            yield r
+
+
+def _apply_limits_rows(rows, size_col, n_matched, max_results, max_bytes,
+                       max_tokens, max_iter=None):
+    """Running-total limits in result order (search_limiter.rs:22-226) over
+    a row stream, read no further than the limits need; token estimate =
+    bytes/4 (search_limiter.rs:151; tiktoken unavailable here — documented
+    deviation, see oracle.estimate_tokens). Without max_results at most
+    ``max_iter`` rows are examined. Returns the admitted rows and the
+    LimitedSearchResults record (models.rs:2-22): the applied limits with
+    their running totals, and how many of the ``n_matched`` rows the limits
+    cut."""
     if max_results is None and max_bytes is None and max_tokens is None:
-        if meta is not None:
-            meta.update(limits_applied=None, n_skipped_by_limits=0)
-        return rows
+        return list(rows), _NO_LIMITS
     out, total_bytes, total_tokens = [], 0, 0
-    for r in rows:
-        if max_results is not None and len(out) >= max_results:
-            break
-        size = nbytes_by_id.get(r["doc_id"], 0) if nbytes_by_id else r.get("n_bytes", 0)
-        if max_bytes is not None and total_bytes + size > max_bytes and out:
-            break
+    # islice never reads the row after the last one it yields
+    for r in itertools.islice(rows, max_results if max_results is not None else max_iter):
+        size = r[size_col]
         toks = size // 4
-        if max_tokens is not None and total_tokens + toks > max_tokens and out:
+        if out and (
+            (max_bytes is not None and total_bytes + size > max_bytes)
+            or (max_tokens is not None and total_tokens + toks > max_tokens)
+        ):
             break
         total_bytes += size
         total_tokens += toks
         out.append(r)
-    if meta is not None:
-        meta.update(
-            limits_applied=dict(
-                max_results=max_results, max_bytes=max_bytes,
-                max_tokens=max_tokens, total_bytes=total_bytes,
-                total_tokens=total_tokens,
-            ),
-            n_skipped_by_limits=len(rows) - len(out),
-        )
-    return out
+    return out, dict(
+        limits_applied=dict(
+            max_results=max_results, max_bytes=max_bytes, max_tokens=max_tokens,
+            total_bytes=total_bytes, total_tokens=total_tokens,
+        ),
+        n_skipped_by_limits=max(n_matched - len(out), 0),
+    )
+
+
+def _dedupe_files(rows: list[dict]) -> list[dict]:
+    """Whole-file contained-dedup (block_merging.rs:17-118): the first row
+    of each file stays and takes the union of the file's matched terms."""
+    first: dict[str, dict] = {}
+    for r in rows:
+        key = f"{r['repo']}/{r['path']}"
+        if key in first:
+            first[key]["matched_terms"] = sorted(
+                set(first[key]["matched_terms"]) | set(r["matched_terms"])
+            )
+        else:
+            first[key] = r
+    return list(first.values())
+
+
+def _node_type_boost(tbl: pa.Table) -> np.ndarray:
+    from probe_ray import blocks as blk
+
+    return blk.node_type_boost_vec(
+        tbl.column("node_type").to_pylist(),
+        tbl.column("start").to_numpy(),
+        tbl.column("end").to_numpy(),
+    )
+
+
+_DOC_FINISH = _FinishSpec(
+    shift=0,
+    sort_cols=("file_key",),
+    row_cols=("doc_id", "repo", "path", "kws_bits", "matched_bits", "n_bytes"),
+    schema=_FEATS_SCHEMA,
+)
+_BLOCK_FINISH = _FinishSpec(
+    shift=_KEY_SHIFT,
+    sort_cols=("file_key", "start"),
+    row_cols=("doc_id", "repo", "path", "start", "end", "node_type",
+              "matched_keywords", "matched_lines", "n_code_bytes"),
+    schema=_BLOCK_FEATS_SCHEMA,
+    boost=_node_type_boost,
+)
 
 
 def _terms_to_bits(terms, plan_term_pos) -> bytes:
@@ -3426,39 +2910,6 @@ def _score_feats_vectorized(feats_tbl, ranking_ast, ranking_terms, idfs, avgdl,
     cov = np.minimum(but / n_queries, 1.0) if n_queries > 0 else np.zeros(n)
     boosted = bm25 * (1.0 + cov**1.5 * 2.0)
     return np.asarray(bm25, dtype=np.float64), boosted, valid
-
-
-def _finish_exact_local(
-    feats_tbl: pa.Table, plan, max_results, max_bytes, max_tokens,
-    meta: dict | None = None,
-) -> pa.Table:
-    """Shared files_only/exact finish over driver-sized feats: file-key
-    sort, running-total limits, matched-term decode (used by both the
-    local verify branch and the small-feats distributed shortcut)."""
-    rows = feats_tbl.to_pylist()
-    rows.sort(key=lambda r: f"{r['repo']}/{r['path']}")
-    rows = _apply_limits_rows(rows, max_results, max_bytes, max_tokens,
-                              meta=meta)
-    pt = sorted(plan.term_indices, key=plan.term_indices.__getitem__)
-    for r in rows:
-        r["matched_terms"] = _bits_to_terms(r.get("matched_bits", b""), pt)
-    return _rows_to_result(rows, ranked=False)
-
-
-def _rows_to_result(rows, ranked: bool) -> pa.Table:
-    return pa.table(
-        {
-            "doc_id": pa.array([r["doc_id"] for r in rows], pa.int64()),
-            "repo": pa.array([r["repo"] for r in rows], pa.string()),
-            "path": pa.array([r["path"] for r in rows], pa.string()),
-            "rank": pa.array([None] * len(rows), pa.int64()),
-            "score": pa.array([0.0] * len(rows), pa.float64()),
-            "bm25_score": pa.array([0.0] * len(rows), pa.float64()),
-            "matched_terms": pa.array(
-                [list(r["matched_terms"]) for r in rows], pa.list_(pa.string())
-            ),
-        }
-    )
 
 
 def _dicts_to_result(rows) -> pa.Table:

@@ -163,8 +163,12 @@ def _scan_haskell(
                     in_block = False
                 continue
             if raw.startswith("{-", i):
+                # blank the opener before scanning for "-}", so "{-}"
+                # opens a comment instead of closing it at once
                 saw_comment = True
                 in_block = True
+                out.append("  ")
+                i += 2
                 continue
             if raw.startswith("--", i) and (
                 i + 2 >= n or not raw[i + 2] in "->:#$%&*+./<=>?@\\^|~"

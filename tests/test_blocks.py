@@ -754,18 +754,19 @@ def test_fp_ported_long_lines_ignored():
 
 @pytest.fixture()
 def distributed_feats_engine(t2_index, monkeypatch):
-    """Forces BOTH distributed extraction and the distributed block-ranking
-    finish (stats reduce + per-block top-k + histogram flagged rows)."""
+    """Forces BOTH distributed extraction and the Ray-side block finishes
+    (stats reduce + per-block top-k + histogram flagged rows, and the
+    exact sort)."""
     monkeypatch.setattr(Engine, "LOCAL_DOCS_MAX", 0)
     monkeypatch.setattr(Engine, "LOCAL_CAND_MAX", 0)
     monkeypatch.setattr(Engine, "LOCAL_BLOCK_CAND_MAX", 0)
-    monkeypatch.setattr(Engine, "LOCAL_BLOCK_FEATS_MAX", 0)
+    monkeypatch.setattr(Engine, "LOCAL_FEATS_MAX", 0)
     return Engine(t2_index)
 
 
 _DIST_FEATS_SUBSET = [q for q in _BLOCK_SUITE if q[0] in (
-    "q01_single_term", "q02_or_chain", "q04_exclusion",
-    "q19_bm25_gradient", "q23_max_results",
+    "q01_single_term", "q02_or_chain", "q04_exclusion", "q09_quoted_exact",
+    "q19_bm25_gradient", "q23_max_results", "q25_max_bytes", "q26_max_tokens",
 )]
 
 
@@ -787,6 +788,51 @@ def test_distributed_block_ranking_no_limit(t2_rows, distributed_feats_engine):
     expected = oracle_search_blocks(load_docs(t2_rows), q)
     got = distributed_feats_engine.search_blocks(q)
     _assert_blocks_equal(got, expected, "dist_no_limit")
+
+
+def test_same_start_blocks_in_process_and_on_ray(ray_session, tmp_path):
+    """Two blocks of one file can start on the same line (here an AST
+    function and the fallback window of a later uncovered match). The
+    ranked and the exact finish keep the oracle's candidate order between
+    them (the exact sort is stable over (file, start)), in-process and with
+    every crossover forced to Ray Data. The extractor's filters leave no
+    such pair at the flagged-row boundary in the queries tried, so
+    test_distributed_paths covers that rule on synthetic feats."""
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    from probe_ray.build import build_index
+
+    ts = "\n".join(
+        ["function keywordAlpha() {", "  return 1;", "}", "y = keywordBeta;"]
+        + ["z = 2;"] * 8
+    )
+    rows = [
+        dict(repo="r", path="a/other.txt", commit="0" * 40, lang="text",
+             content="keywordAlpha keywordBeta\nplain\n"),
+        dict(repo="r", path="b/same.ts", commit="0" * 40, lang="typescript",
+             content=ts),
+    ]
+    docs = load_docs(rows)
+    corpus = tmp_path / "same_start.parquet"
+    pq.write_table(pa.Table.from_pylist(rows), str(corpus))
+    index = build_index(str(corpus), str(tmp_path / "idx"))
+    on_ray = Engine(index)
+    for name in ("LOCAL_DOCS_MAX", "LOCAL_CAND_MAX", "LOCAL_BLOCK_CAND_MAX",
+                 "LOCAL_FEATS_MAX"):
+        setattr(on_ray, name, 0)
+    cases = [
+        (["keywordAlpha OR keywordBeta"], {}),
+        (["keywordAlpha OR keywordBeta"], {"no_merge": True}),
+        # all-exact: file order, the function before the window
+        (['"keywordAlpha" OR "keywordBeta"'], {"max_results": 2}),
+        (['"keywordAlpha" OR "keywordBeta"'], {"no_merge": True}),
+    ]
+    for queries, opts in cases:
+        expected = oracle_search_blocks(docs, queries, **opts)
+        for label, eng in (("local", Engine(index)), ("ray", on_ray)):
+            got = eng.search_blocks(queries, **opts)
+            _assert_blocks_equal(got, expected, f"{label} {queries} {opts}")
 
 
 @pytest.mark.parametrize("qid,queries,opts", [
@@ -939,6 +985,38 @@ def test_new_language_ast_blocks_end_to_end(tmp_path):
     assert rb_types["src/calc.cr"] == "method_def"
 
 
+_LIMIT_CASES = [
+    ("doc_ranked", "search", ["keywordAlpha OR keywordBeta"], {"max_results": 2}),
+    ("doc_exact", "search", ['"keywordAlpha"'], {"max_results": 2}),
+    ("files_only", "search", ["keywordAlpha OR keywordBeta"],
+     {"files_only": True, "max_results": 1}),
+    ("blocks_max_results", "search_blocks", ["keywordAlpha OR keywordBeta"],
+     {"max_results": 3}),
+    ("blocks_max_bytes", "search_blocks", ["keywordAlpha"], {"max_bytes": 5000}),
+]
+
+
+@pytest.mark.parametrize(
+    "case,method,queries,opts", _LIMIT_CASES, ids=[c[0] for c in _LIMIT_CASES]
+)
+def test_limited_search_results_parity(case, method, queries, opts, t2_index):
+    """The LimitedSearchResults record is the same whether the query runs
+    in-process or with every LOCAL_* crossover forced to Ray Data."""
+    local = Engine(t2_index)
+    getattr(local, method)(queries, **opts)
+    want = local.last_search_meta
+    dist = Engine(t2_index)
+    for name in dir(Engine):
+        if name.startswith("LOCAL_"):
+            setattr(dist, name, 0)
+    getattr(dist, method)(queries, **opts)
+    got = dist.last_search_meta
+    assert want["limits_applied"] is not None, case
+    assert got["limits_applied"] == want["limits_applied"], case
+    assert got["n_skipped_by_limits"] == want["n_skipped_by_limits"], case
+    assert got["n_results"] == want["n_results"], case
+
+
 def test_limited_search_results_metadata(t2_rows, t2_index):
     """models.rs:2-9 LimitedSearchResults parity surface (r4 verdict item
     9): engine.last_search_meta records the applied limits + running
@@ -999,4 +1077,7 @@ def test_limited_search_results_metadata(t2_rows, t2_index):
     m = engine.last_search_meta
     assert m["n_results"] <= 3
     assert m["limits_applied"]["max_results"] == 3
+    # nothing is counted in global mode: the totals read "not tracked"
+    assert m["limits_applied"]["total_bytes"] is None
+    assert m["limits_applied"]["total_tokens"] is None
     assert m["cached_blocks_skipped"] is None

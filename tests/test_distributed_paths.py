@@ -15,7 +15,7 @@ _SUBSET = [q for q in QUERY_SUITE if q[0] in (
     "q01_single_term", "q02_or_chain", "q04_exclusion", "q07_complex_exclusion",
     "q09_quoted_exact", "q14_filename_only", "q18_all_stopwords",
     "q19_bm25_gradient", "q22_multi_query_and", "q23_max_results",
-    "q24_files_only", "q25_max_bytes", "q26_max_tokens",
+    "q24_files_only", "q25_max_bytes", "q26_max_tokens", "q29_allow_tests_off",
 )]
 
 
@@ -39,3 +39,127 @@ def test_distributed_rank_identity(qid, queries, opts, t2_rows, distributed_engi
         assert math.isclose(g["score"], e.score, abs_tol=1e-9), f"{qid} row {i}"
         assert math.isclose(g["bm25_score"], e.bm25_score, abs_tol=1e-9), f"{qid} row {i}"
         assert list(g["matched_terms"]) == list(e.matched_terms), f"{qid} row {i}"
+
+
+def _feats_layouts(feats, monkeypatch):
+    """One feats set three ways: the in-process table; a materialized
+    Dataset of 17-row blocks (one map task per block); and a lazy Dataset
+    whose map tasks each read several small blocks, so Ray Data joins the
+    outputs of several per-block calls into one output block."""
+    import pyarrow as pa
+    import ray.data as rd
+
+    from probe_ray import search as S
+
+    sliced = rd.from_arrow(
+        [feats.slice(i, 17) for i in range(0, feats.num_rows, 17)]
+    ).materialize()
+    monkeypatch.setattr(rd.DataContext.get_current(), "target_max_block_size", 2048)
+    joined = rd.from_arrow([feats.slice(0, 60), feats.slice(60)]).map_batches(
+        lambda b: b, batch_format="pyarrow"
+    )
+    calls = S._map_feats(joined, lambda t: pa.table({"n": [t.num_rows]}))
+    assert max(t.num_rows for t in calls) > 1  # some outputs hold >1 call
+    return feats, sliced, joined
+
+
+def test_flagged_rows_same_in_process_and_on_ray(t2_index, ray_session, monkeypatch):
+    """The ranked finish's flagged rows (positional-overwrite quirk): the
+    candidates past the k_valid-th in doc-id order, in file order with rank
+    None. No query-suite query yields them on t2, so a synthetic feats set
+    with a required term missing from some rows drives the finish, on each
+    of _feats_layouts' layouts; few histogram buckets make the k_valid-th
+    key resolve inside a crowded bucket."""
+    import random
+
+    import pyarrow as pa
+
+    from probe_ray import queryparse as qp
+    from probe_ray import search as S
+
+    monkeypatch.setattr(Engine, "_HIST_BUCKETS", 4)
+    rng = random.Random(5)
+    ids = sorted(rng.sample(range(600), 120))
+    files = [f"f{rng.randrange(40):02d}.rs" for _ in ids]  # shared paths too
+    tf = [[rng.choice([0, 0, 1, 2, 3])] for _ in ids]
+    feats = pa.table({
+        "doc_id": ids,
+        "repo": ["r"] * len(ids),
+        "path": files,
+        "dl": [rng.randrange(5, 50) for _ in ids],
+        "tf": tf,
+        "matched_bits": [b"\x80"] * len(ids),
+        "kws_bits": [b"\x80" if t[0] else b"" for t in tf],
+        "but": [1 if t[0] else 0 for t in tf],
+        "n_bytes": [100] * len(ids),
+    }, schema=S._FEATS_SCHEMA)
+    ast, _ = qp.parse_query("+foo", False)
+    engine = Engine(t2_index)
+
+    def finish(f):
+        return [
+            (r["doc_id"], r["rank"], r["score"], r["bm25_score"])
+            for r in engine._ranked_rows(f, S._DOC_FINISH, ast, ["foo"], 1, cap=None)
+        ]
+
+    local, *on_ray = (finish(f) for f in _feats_layouts(feats, monkeypatch))
+    assert on_ray == [local, local]
+    k_valid = sum(1 for t in tf if t[0])
+    assert [r[1] for r in local] == list(range(1, k_valid + 1)) + [None] * (120 - k_valid)
+    tail = sorted(zip(files[k_valid:], ids[k_valid:]))
+    assert [r[0] for r in local[k_valid:]] == [d for _, d in tail]
+
+
+def test_block_finishes_keep_same_start_order(t2_index, ray_session, monkeypatch):
+    """Blocks of one file may share a start line. The flagged rows are the
+    candidates past the k_valid-th in canonical (doc_id, start, end,
+    node_type) order, stably sorted by (file, start); the exact finish is
+    the same stable sort over all rows (oracle.oracle_search_blocks). Both
+    hold on each of _feats_layouts' layouts, Ray's unstable sort included."""
+    import random
+
+    import pyarrow as pa
+
+    from probe_ray import queryparse as qp
+    from probe_ray import search as S
+
+    monkeypatch.setattr(Engine, "_HIST_BUCKETS", 4)
+    rng = random.Random(7)
+    doc_ids = sorted(rng.sample(range(600), 40))
+    paths = {d: f"f{i:02d}.ts" for i, d in zip(rng.sample(range(99), 40), doc_ids)}
+    rows = []  # canonical order
+    for d in doc_ids:
+        spans = {(s, s + rng.randrange(4)) for s in rng.sample(range(1, 9), 2)}
+        spans |= {(s, e + 5) for s, e in spans}  # same start, longer window
+        blocks = sorted((s, e, rng.choice(["function_declaration", "code"]))
+                        for s, e in spans)
+        for o, (s, e, nt) in enumerate(blocks):
+            hit = rng.random() < 0.6
+            rows.append(dict(
+                doc_id=d, repo="r", path=paths[d], start=s, end=e, node_type=nt,
+                ord=o, dl=rng.randrange(5, 50), tf=[rng.randrange(1, 4) if hit else 0],
+                but=int(hit), matched_keywords=["foo"] if hit else [],
+                matched_lines=[s], n_code_bytes=10 * (e - s + 1),
+            ))
+    feats = pa.Table.from_pylist(rows, schema=S._BLOCK_FEATS_SCHEMA)
+    ast, _ = qp.parse_query("+foo", False)
+    engine = Engine(t2_index)
+
+    def span(r):
+        return (r["doc_id"], r["start"], r["end"], r["node_type"])
+
+    def in_file_order(rs):
+        return [span(r) for r in sorted(rs, key=lambda r: (r["path"], r["start"]))]
+
+    k_valid = sum(1 for r in rows if r["tf"][0])
+    ranked = []
+    for f in _feats_layouts(feats, monkeypatch):
+        got = list(engine._ranked_rows(f, S._BLOCK_FINISH, ast, ["foo"], 1, cap=None))
+        ranked.append([(span(r), r["rank"], r["score"]) for r in got])
+        assert [r["rank"] for r in got] == (
+            list(range(1, k_valid + 1)) + [None] * (len(rows) - k_valid)
+        )
+        assert [span(r) for r in got[k_valid:]] == in_file_order(rows[k_valid:])
+        exact = list(S._unranked_rows(S._sorted_feats(f, S._BLOCK_FINISH)))
+        assert [span(r) for r in exact] == in_file_order(rows)
+    assert ranked[1:] == [ranked[0], ranked[0]]

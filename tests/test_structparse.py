@@ -764,6 +764,16 @@ def test_haskell_spans_function_grouping():
     assert not any(s.start == 10 for s in spans.values())
 
 
+def test_haskell_brace_dash_brace_opens_block_comment():
+    """``{-}`` opens a block comment: its ``-}`` shares the opener's dash,
+    so the comment runs on to the next ``-}``."""
+    lines = ["{-}", "f x = x", "-}", "g y = y"]
+    code, comment_only, _ = sp.scan_lines(lines, "hs")
+    assert code[1].strip() == "" and code[2].strip() == ""
+    assert comment_only[:3] == [True, True, True]
+    assert code[3] == "g y = y" and not comment_only[3]
+
+
 HTML = """\
 <html>
 <head>
