@@ -174,7 +174,6 @@ def run_bench() -> dict:
     eng_dist = Engine(paths)
     eng_dist.LOCAL_DOCS_MAX = 0
     eng_dist.LOCAL_CAND_MAX = 0
-    eng_dist.LOCAL_VECTOR_CAND_MAX = 0
     eng_dist.LOCAL_FEATS_MAX = 0
     # p50 of 3 like the other query classes (single-shot measured mostly
     # worker-import cold-start: 4.8s cold vs 2.4s warm on the round-4 host)

@@ -135,56 +135,12 @@ def _eval_inner(expr: Expr, matched, term_indices, ignore_negatives, has_req) ->
     return (l and r) if isinstance(expr, And) else (l or r)
 
 
-def make_evaluator(expr: Expr, term_indices: dict[str, int]):
-    """Precompiled full evaluation (negatives enforced): the per-doc hot
-    path of candidate admission. Precomputes has_required / only-excluded /
-    per-term index lists once; per call only set operations remain.
-    Semantics identical to evaluate(..., ignore_negatives=False)."""
-    has_req = has_required_term(expr)
-    only_excl = is_only_excluded_terms(expr)
-    required_idx: list[list[int]] = []
-
-    def compile_node(e: Expr):
-        if isinstance(e, Term):
-            idxs = [term_indices.get(kw) for kw in e.lowercase_keywords]
-            if e.required and not e.excluded:
-                required_idx.append(idxs)
-            if not e.keywords:
-                res = e.excluded
-                return lambda m: res
-            if e.excluded:
-                present = [i for i in idxs if i is not None]
-                return lambda m: not any(i in m for i in present)
-            if e.required:
-                return lambda m: all(i is not None and i in m for i in idxs)
-            if has_req:
-                return lambda m: True
-            return lambda m: any(i is not None and i in m for i in idxs)
-        lf, rf = compile_node(e.left), compile_node(e.right)
-        if isinstance(e, And):
-            return lambda m: lf(m) and rf(m)
-        return lambda m: lf(m) or rf(m)
-
-    root = compile_node(expr)
-    req_flat = [idxs for idxs in required_idx]
-
-    def run(matched: set[int]) -> bool:
-        if not matched and not only_excl:
-            return False
-        if has_req:
-            for idxs in req_flat:
-                if not all(i is not None and i in matched for i in idxs):
-                    return False
-        return root(matched)
-
-    return run
-
-
-def make_vector_evaluator(expr: Expr, term_indices: dict[str, int]):
-    """Vectorized full evaluation over per-doc term bitmaps (J2 in
-    SURVEY.md §3.5): given {term -> bool ndarray over docs}, returns the
-    admission bool ndarray. Semantics identical to
-    evaluate(..., ignore_negatives=False) applied per doc."""
+def make_vector_evaluator(expr: Expr, term_indices: dict[str, int],
+                          ignore_negatives: bool = False):
+    """Vectorized evaluation over per-doc term bitmaps (J2 in SURVEY.md
+    §3.5): given {term -> bool ndarray over docs}, returns the admission
+    bool ndarray. Semantics identical to
+    evaluate(..., ignore_negatives) applied per doc."""
     import numpy as np
 
     has_req = has_required_term(expr)
@@ -202,6 +158,8 @@ def make_vector_evaluator(expr: Expr, term_indices: dict[str, int]):
                     return np.full(n, e.excluded, dtype=bool)
                 kws = e.lowercase_keywords
                 if e.excluded:
+                    if ignore_negatives:
+                        return np.ones(n, dtype=bool)
                     any_p = np.zeros(n, dtype=bool)
                     for kw in kws:
                         any_p |= get(kw)

@@ -73,11 +73,17 @@ class _QueryContext:
 
 def _records_block_metrics(search_blocks):
     """Each ``Engine.search_blocks`` call (it has many return points) gets
-    its own ``last_metrics`` record and probe-block stats."""
+    its own ``last_metrics`` record and probe-block stats, and starts from
+    an empty LimitedSearchResults record that only a call returning rows
+    replaces."""
 
     @functools.wraps(search_blocks)
     def run(self, queries, **kwargs):
         t0, self._probe_block_stats = time.time(), []
+        self.last_search_meta = dict(
+            n_results=0, **_NO_LIMITS, cached_blocks_skipped=None,
+            files_skipped_early_termination=None,
+        )
         result = search_blocks(self, queries, **kwargs)
         self.last_metrics = dict(
             mode=kwargs.get("mode", "compat"), unit="blocks",
@@ -493,12 +499,10 @@ class Engine:
     # through Ray Data (the 10^12-scale path; conformance-tested by
     # tests/test_distributed_paths.py). 1M docs ~ a few GB on this node.
     LOCAL_DOCS_MAX = 1_000_000
-    # candidate sets up to this size are verified on the driver (the verify
-    # closure is single-threaded there); larger sets fan out via map_batches
-    LOCAL_CAND_MAX = 2048
-    # same threshold for the VECTORIZED verifier (C-speed on the driver, so
-    # much higher); beyond it the verify fans out across the cluster
-    LOCAL_VECTOR_CAND_MAX = 100_000
+    # candidate sets up to this size are verified on the driver (the doc
+    # verifier is vectorized, C-speed there); larger sets fan out across
+    # the cluster via map_batches
+    LOCAL_CAND_MAX = 100_000
     # block extraction is per-row Python (line matching + window tokenize):
     # fan out beyond a small candidate count even with a pinned docs table
     LOCAL_BLOCK_CAND_MAX = 2048
@@ -530,8 +534,7 @@ class Engine:
             return None
         if getattr(self, "_docs_cache", None) is None:
             tbl = self._docs_read_table(
-                columns=["doc_id", "repo", "path", "lang", "content", "tokens",
-                         "n_content_tokens", "path_tokens", "doc_len"]
+                columns=["doc_id", "repo", "path", "content", "doc_len"]
                 + (["is_test"] if self._has_is_test() else []),
             ).sort_by("doc_id")
             # per-engine precomputations shared by every query: lowered
@@ -766,6 +769,8 @@ class Engine:
                 pa.table({c: pa.array([], pa.int64() if c == "doc_id" else pa.string())
                           for c in ["doc_id"]})
             )
+        if ids.size >= self._stats["n_docs"]:
+            return self._docs_ds(columns)  # every doc (ids are unique)
         if ids.size <= self.FETCH_FILTER_MAX_IDS:
             # predicate applied DURING the Arrow scan (row-group pruning +
             # no Python mask stage) — 2-7x faster than scan+mask. Ray's
@@ -1612,103 +1617,58 @@ class Engine:
             except qp.ParseError:
                 ranking_ast = None
 
-        # two verify implementations with identical outputs:
-        # - vectorized (Arrow/numpy per-doc term bitmaps) — the fast path,
-        #   usable when no query-scoped special terms require re-tokenizing
-        # - python row loop — exact/excluded queries and files_only
-        use_vector = not ctx.specials and not files_only and allow_tests
-        # specials (quoted / exact terms): HYBRID verification — a doc's
-        # tokenization can only differ from its stored tokens when content
-        # or path CONTAINS a special's text (the invariant the row verifier
-        # already relies on), so non-containing rows go through the
-        # vectorized postings verifier and only substring-hit rows pay the
-        # Python re-tokenize (kills the quoted-exact plateau, r3 item 1)
-        use_hybrid = (
-            bool(ctx.specials) and not files_only and allow_tests
-            and not plan.is_universal
-        )
-        fast = use_vector or use_hybrid
         compound_parts = {
             t: parts
             for t in plan.term_indices
             if len(parts := tok.split_compound_word_for_filtering(
                 t, ctx.specials)) > 1
         }
-        extra_terms = (
-            set(ranking_terms) | {p for ps in compound_parts.values() for p in ps}
-        ) - set(plan.term_indices)
-        if use_hybrid:
-            # special plan terms are not in _candidate_ids' plain lookup
-            # set; the vector sub-verifier needs their postings for token
-            # membership on non-containing rows
-            extra_terms |= set(ctx.specials) & set(plan.term_indices)
-        extra_lookup = sorted(extra_terms) if fast else []
+        # the verifier reads token membership from postings: ranking terms,
+        # compound parts, and the special plan terms (not in _candidate_ids'
+        # plain lookup set) for rows that contain no special's text
+        in_plan = set(plan.term_indices)
+        extra_lookup = sorted(
+            ((set(ranking_terms) | {p for ps in compound_parts.values() for p in ps})
+             - in_plan)
+            | (set(ctx.specials) & in_plan)
+        )
 
-        cand_tbl = None  # local-path candidates (small candidate sets only)
-        cand_mask = None  # vector path: candidate mask over the full table
-        cand_ds = None
-        cols = ["doc_id", "repo", "path", "lang", "content", "doc_len"] + (
-            [] if use_vector
-            else ["tokens"] if use_hybrid
-            else ["tokens", "n_content_tokens"]
-        ) + (["is_test"] if not allow_tests and self._has_is_test() else [])
-        postings: dict = {}
         if plan.is_universal:
-            if use_vector:
-                postings = self._read_postings(sorted(set(ranking_terms)))
-            if local_tbl is not None and (
-                use_vector or self._stats["n_docs"] <= self.LOCAL_CAND_MAX
-            ):
-                cand_tbl = local_tbl
-            else:
-                cand_ds = self._docs_ds(cols)
+            postings = self._read_postings(extra_lookup)
         else:
             cand_ids, postings = self._candidate_ids(ctx, fname_matches, extra_lookup)
-            if exhaustive:
-                # full-scan mode: every doc is a candidate (probe's actual
-                # behavior); verification decides
-                cand_ids = np.arange(self._stats["n_docs"], dtype=np.int64)
-            if cand_ids.size == 0:
-                return _empty_result(), _NO_LIMITS
-            local_cap = (
-                self.LOCAL_VECTOR_CAND_MAX if fast else self.LOCAL_CAND_MAX
-            )
-            go_local = local_tbl is not None and cand_ids.size <= local_cap
-            if go_local:
-                mask = np.isin(local_tbl.column("doc_id").to_numpy(), cand_ids)
-                if fast and cand_ids.size > 0.5 * self._stats["n_docs"]:
-                    # majority of the corpus: skip the table copy, verify
-                    # the full cached table under the candidate mask
-                    cand_tbl = local_tbl
-                    cand_mask = mask
-                else:
-                    cand_tbl = local_tbl.filter(pa.array(mask))
-            else:
-                cand_ds = self._fetch_candidates(cand_ids, cols)
+        if plan.is_universal or exhaustive:
+            # every doc is a candidate (universal plans match every doc,
+            # search_runner.rs:402-411; exhaustive is probe's full scan);
+            # verification decides
+            cand_ids = np.arange(self._stats["n_docs"], dtype=np.int64)
+        if cand_ids.size == 0:
+            return _empty_result(), _NO_LIMITS
 
-        if use_vector:
-            verify = _make_vector_verifier(
-                ctx, lang_exts, fname_matches, ranking_terms, compound_parts,
-                postings, seen=seen,
-            )
-        elif use_hybrid:
-            verify = _make_hybrid_verifier(
-                ctx, lang_exts, fname_matches, ranking_terms, compound_parts,
-                postings, seen=seen, fanout=cand_tbl is not None,
-            )
+        go_local = local_tbl is not None and cand_ids.size <= self.LOCAL_CAND_MAX
+        verify = _make_vector_verifier(
+            ctx, lang_exts, fname_matches, ranking_terms, compound_parts,
+            postings, seen=seen, files_only=files_only, allow_tests=allow_tests,
+            fanout=go_local,
+        )
+        if go_local:
+            mask = np.isin(local_tbl.column("doc_id").to_numpy(), cand_ids)
+            if cand_ids.size > 0.5 * self._stats["n_docs"]:
+                # majority of the corpus: skip the table copy, verify the
+                # full cached table under the candidate mask
+                feats = verify(local_tbl, mask)
+            else:
+                feats = verify(local_tbl.filter(pa.array(mask)))
+            n = feats.num_rows
         else:
-            verify = _make_verifier(
-                ctx, lang_exts, fname_matches, ranking_terms,
-                files_only=files_only, seen=seen, allow_tests=allow_tests,
+            cols = ["doc_id", "repo", "path", "content", "doc_len"] + (
+                ["is_test"] if not allow_tests and self._has_is_test() else []
             )
-        if cand_tbl is None:
             feats, n = self._place_feats(
-                cand_ds.map_batches(verify, batch_format="pyarrow").materialize(),
+                self._fetch_candidates(cand_ids, cols)
+                .map_batches(verify, batch_format="pyarrow").materialize(),
                 _DOC_FINISH,
             )
-        else:
-            feats = verify(cand_tbl, cand_mask) if fast else verify(cand_tbl)
-            n = feats.num_rows
 
         ranked = not (files_only or exact or ctx.ast_all_exact)
         if not ranked:
@@ -2247,21 +2207,101 @@ def _bits_to_terms(bits: bytes, plan_terms: list[str]) -> list[str]:
     return [t for t, b in zip(plan_terms, arr) if b]
 
 
+def _retokenize(tbl: pa.Table, specials, needed_terms, plan_terms):
+    """Fresh tokens for rows whose content or path contains a special term's
+    text: (doc_len, tf over needed_terms, str.lower() containment of each
+    plan term) — the row's token vector and injection inputs exactly as
+    oracle.doc_token_vector builds them."""
+    contents = tbl.column("content").to_pylist()
+    paths = tbl.column("path").to_pylist()
+    col = {t: j for j, t in enumerate(needed_terms)}
+    dl = np.zeros(len(contents), dtype=np.int32)
+    tf = np.zeros((len(contents), len(needed_terms)), dtype=np.int32)
+    sub = np.zeros((len(contents), len(plan_terms)), dtype=bool)
+    for i, (c, p) in enumerate(zip(contents, paths)):
+        vector = tok.tokenize(c, specials) + tok.tokenize(p, specials)
+        dl[i] = len(vector)
+        for v in vector:
+            j = col.get(v)
+            if j is not None:
+                tf[i, j] += 1
+        cl = c.lower()
+        sub[i] = [t in cl for t in plan_terms]
+    return dl, tf, sub
+
+
+_retokenize_task = ray.remote(num_cpus=1)(_retokenize)
+
+# driver-local verify: above this many special-hit rows the Python
+# re-tokenize fans out as plain Ray tasks (the table is already in driver
+# memory — a Dataset job's fixed overhead would dominate)
+_HIT_FANOUT_MIN = 384
+_HIT_FANOUT_TASKS = 32
+
+
+def _special_hits(batch: pa.Table, specials, keep: np.ndarray) -> np.ndarray:
+    """Rows (among ``keep``) whose lowered content or path contains a
+    special term's text. Only these can tokenize differently from their
+    stored tokens (is_special_case compares words and parts that are
+    substrings of the text; file_processing.rs:1353-1358)."""
+    n = batch.num_rows
+    hit = np.zeros(n, dtype=bool)
+    if not specials:
+        return hit
+    if "content_lower" in batch.schema.names:
+        cl = batch.column("content_lower")
+    else:
+        cl = pc.utf8_lower(batch.column("content"))
+    pl = pc.utf8_lower(batch.column("path"))
+    for s in specials:
+        hit |= pc.match_substring(cl, s).to_numpy(zero_copy_only=False)
+        hit |= pc.match_substring(pl, s).to_numpy(zero_copy_only=False)
+    # Arrow utf8_lower can differ from Python str.lower() on a few
+    # codepoints (e.g. U+0130 expands to two chars in Python): re-check
+    # arrow-NEGATIVE non-ASCII rows with `str.lower()`. Arrow false
+    # POSITIVES are harmless — re-tokenizing an unaffected doc reproduces
+    # its stored tokens.
+    non_ascii = ~(
+        pc.string_is_ascii(batch.column("content")).to_numpy(zero_copy_only=False)
+        & pc.string_is_ascii(batch.column("path")).to_numpy(zero_copy_only=False)
+    )
+    idx = np.flatnonzero(non_ascii & ~hit & keep)
+    if idx.size:
+        take = pa.array(idx)
+        contents = batch.column("content").take(take).to_pylist()
+        paths = batch.column("path").take(take).to_pylist()
+        for j, c, p in zip(idx, contents, paths):
+            cl_py, pl_py = c.lower(), p.lower()
+            hit[j] = any(s in cl_py or s in pl_py for s in specials)
+    return hit & keep
+
+
 def _make_vector_verifier(ctx, lang_exts, fname_matches, ranking_terms,
-                          compound_parts, postings, seen=None):
-    """Vectorized candidate verification: per-doc term bitmaps from decoded
-    postings (token membership), Arrow match_substring for the exact-literal
-    injection rule, numpy boolean evaluation (J2 in SURVEY.md §3.5).
-    Output-identical to _make_verifier for queries without dynamic special
-    terms; used both driver-side and as a map_batches function."""
+                          compound_parts, postings, seen=None, files_only=False,
+                          allow_tests=True, fanout=False):
+    """Candidate verification (J2 in SURVEY.md §3.5): per-doc term bitmaps
+    from decoded postings (token membership), Arrow match_substring for the
+    exact-literal injection rule (file_processing.rs:1353-1358), numpy
+    boolean evaluation. Rows containing a special (quoted/exact/excluded)
+    term's text are re-tokenized in Python and their membership, tf and
+    doc_len replaced by the fresh counts; everything after that is the same
+    numpy code for every row. ``files_only`` admits with negatives ignored
+    and no session anti-join (search_runner.rs:637-686, 699-744). Used both
+    driver-side (with a candidate mask; ``fanout`` lets a large re-tokenize
+    run as Ray tasks) and as a map_batches function."""
+    from probe_ray.tools import is_test_file
+
     plan = ctx.plan
     term_indices = plan.term_indices
     plan_terms = sorted(term_indices, key=term_indices.__getitem__)
     filters = ctx.filters
     no_filters = filters.is_empty()
     is_universal = plan.is_universal
-    vec_eval = None if is_universal else qp.make_vector_evaluator(plan.ast, term_indices)
-    seen = seen or set()
+    vec_eval = None if is_universal else qp.make_vector_evaluator(
+        plan.ast, term_indices, ignore_negatives=files_only
+    )
+    seen = (seen or set()) if not files_only else set()
+    specials = ctx.specials
     n_queries_terms = len(plan_terms)
 
     needed_terms = sorted(
@@ -2289,6 +2329,19 @@ def _make_vector_verifier(ctx, lang_exts, fname_matches, ranking_terms,
             return _FEATS_SCHEMA.empty_table()
         ids = batch.column("doc_id").to_numpy()
         keep = np.ones(n, dtype=bool) if cand_mask is None else cand_mask.copy()
+        if not allow_tests:
+            # --allow-tests off: test files excluded (file_list_cache.rs);
+            # indexes built before the static is_test column re-detect
+            if "is_test" in batch.schema.names:
+                keep &= ~batch.column("is_test").to_numpy(zero_copy_only=False)
+            else:
+                take = pa.array(np.flatnonzero(keep))
+                for i, p, c in zip(
+                    take.to_pylist(),
+                    batch.column("path").take(take).to_pylist(),
+                    batch.column("content").take(take).to_pylist(),
+                ):
+                    keep[i] = not is_test_file(p, c)
         paths = None
         if lang_exts is not None or not no_filters:
             paths = batch.column("path").to_pylist()
@@ -2304,19 +2357,38 @@ def _make_vector_verifier(ctx, lang_exts, fname_matches, ranking_terms,
         def member_tf(t):
             pt = posts.get(t)
             if pt is None:
-                return np.zeros(n, dtype=bool), None
+                return np.zeros(n, dtype=np.int32)
             pid, ptf = pt
             idx = np.searchsorted(pid, ids)
             idx_c = np.minimum(idx, len(pid) - 1)
-            tf_at = np.where(pid[idx_c] == ids, ptf[idx_c], 0).astype(np.int32)
-            # token membership requires a REAL posting (tf > 0); tf=0 rows
-            # are shadow postings used only for substring candidate gen
-            return tf_at > 0, tf_at
+            return np.where(pid[idx_c] == ids, ptf[idx_c], 0).astype(np.int32)
 
-        member = {}
-        tfvals = {}
-        for t in needed_terms:
-            member[t], tfvals[t] = member_tf(t)
+        tfvals = {t: member_tf(t) for t in needed_terms}
+        dl = batch.column("doc_len").to_numpy().astype(np.int32)
+
+        # rows a special term touches: fresh tokens replace the stored ones
+        hit_idx = np.flatnonzero(_special_hits(batch, specials, keep))
+        sub_hit = None
+        if hit_idx.size:
+            sub = batch.select(["content", "path"]).take(pa.array(hit_idx))
+            args = (specials, needed_terms, plan_terms)
+            if fanout and hit_idx.size >= _HIT_FANOUT_MIN:
+                step = -(-hit_idx.size // _HIT_FANOUT_TASKS)
+                parts = ray.get([
+                    _retokenize_task.remote(sub.slice(i, step), *args)
+                    for i in range(0, hit_idx.size, step)
+                ])
+                dl_hit, tf_hit, sub_hit = (
+                    np.concatenate([p[k] for p in parts]) for k in range(3)
+                )
+            else:
+                dl_hit, tf_hit, sub_hit = _retokenize(sub, *args)
+            dl[hit_idx] = dl_hit
+            for j, t in enumerate(needed_terms):
+                tfvals[t][hit_idx] = tf_hit[:, j]
+        # token membership requires a REAL posting (tf > 0); tf=0 rows are
+        # shadow postings used only for substring candidate gen
+        member = {t: v > 0 for t, v in tfvals.items()}
 
         # exact-literal injection (file_processing.rs:1353-1358), vectorized
         content_lower = None
@@ -2324,33 +2396,37 @@ def _make_vector_verifier(ctx, lang_exts, fname_matches, ranking_terms,
             content_lower = batch.column("content_lower")
         inj = {}
         inj_count = np.zeros(n, dtype=np.int32)
-        for t in plan_terms:
+        for k, t in enumerate(plan_terms):
             missing = ~member[t]
             if missing.any():
                 if content_lower is None:
                     content_lower = pc.utf8_lower(batch.column("content"))
-                sub = pc.match_substring(content_lower, t).to_numpy(
+                contained = pc.match_substring(content_lower, t).to_numpy(
                     zero_copy_only=False
                 )
-                inj[t] = sub & missing
+                if sub_hit is not None:
+                    contained[hit_idx] = sub_hit[:, k]
+                inj[t] = contained & missing
             else:
                 inj[t] = np.zeros(n, dtype=bool)
             inj_count += inj[t]
 
         full = {}
-        fname_mask = {}
         for t in plan_terms:
             f = member[t] | inj[t]
             fn_ids = fnames.get(t)
             if fn_ids is not None and ctx.filenames_enabled:
-                fname_mask[t] = np.isin(ids, fn_ids)
-                f = f | fname_mask[t]
+                f = f | np.isin(ids, fn_ids)
             full[t] = f
 
         if is_universal:
             admit = keep
         else:
-            admit = keep & vec_eval(full, n)
+            # a doc matching no plan term is never a candidate, even for an
+            # all-excluded query (search_runner.rs; oracle_search_docs)
+            admit = keep & vec_eval(full, n) & np.logical_or.reduce(
+                [full[t] for t in plan_terms]
+            )
         if seen:
             if paths is None:
                 paths = batch.column("path").to_pylist()
@@ -2362,11 +2438,10 @@ def _make_vector_verifier(ctx, lang_exts, fname_matches, ranking_terms,
         if not admit.any():
             return _FEATS_SCHEMA.empty_table()
 
-        dl = batch.column("doc_len").to_numpy().astype(np.int32) + inj_count
+        dl += inj_count
         tf_mat = np.zeros((n, len(ranking_terms)), dtype=np.int32)
         for j, t in enumerate(ranking_terms):
-            v = tfvals.get(t)
-            col = v if v is not None else np.zeros(n, dtype=np.int32)
+            col = tfvals[t]
             if t in rt_in_plan:
                 col = col + inj[t]
             tf_mat[:, j] = col
@@ -2399,14 +2474,15 @@ def _make_vector_verifier(ctx, lang_exts, fname_matches, ranking_terms,
                 batch.column("content").cast(pa.binary())
             ).to_numpy(zero_copy_only=False)
         if n_queries_terms:
-            matched_mat = np.stack([full[t] for t in plan_terms], axis=1)
-            matched_bits = np.packbits(matched_mat[sel], axis=1)
-            kws_bits = np.packbits(kws_mask[sel], axis=1)
-            mb_list = [b.tobytes() for b in matched_bits]
-            kb_list = [b.tobytes() for b in kws_bits]
+            kb_list = [b.tobytes() for b in np.packbits(kws_mask[sel], axis=1)]
         else:
-            mb_list = [b""] * sel.size
             kb_list = [b""] * sel.size
+        if n_queries_terms and not (files_only or is_universal):
+            matched_mat = np.stack([full[t] for t in plan_terms], axis=1)
+            mb_list = [b.tobytes() for b in np.packbits(matched_mat[sel], axis=1)]
+        else:
+            # files_only and universal rows report no matched terms
+            mb_list = [b""] * sel.size
         return pa.table(
             {
                 "doc_id": pa.array(ids[sel], pa.int64()),
@@ -2420,109 +2496,6 @@ def _make_vector_verifier(ctx, lang_exts, fname_matches, ranking_terms,
                 "n_bytes": pa.array(n_bytes[sel].astype(np.int64), pa.int64()),
             }
         )
-
-    return verify
-
-
-@ray.remote(num_cpus=1)
-def _apply_verify(fn, tbl: pa.Table) -> pa.Table:
-    return fn(tbl)
-
-
-# driver-local hybrid verify: above this many substring-hit rows the Python
-# re-tokenize sub-verify fans out as plain Ray tasks (the table is already
-# in driver memory — a Dataset job's fixed overhead would dominate)
-_HIT_FANOUT_MIN = 384
-_HIT_FANOUT_TASKS = 32
-
-
-def _make_hybrid_verifier(ctx, lang_exts, fname_matches, ranking_terms,
-                          compound_parts, postings, seen=None, fanout=False):
-    """Specials (quoted/exact-term) verification without a full Python row
-    loop. Invariant (same one the row verifier's fast path at
-    _make_verifier relies on; file_processing.rs:1353-1358 semantics):
-    query-scoped special terms can only change a doc's tokenization when
-    the doc's content or path CONTAINS a special's text. So rows WITHOUT
-    any special substring are verified by the vectorized postings verifier
-    (stored tokens == re-tokenized tokens for them), and only
-    substring-hit rows pay the Python re-tokenize. Output-identical to
-    _make_verifier; usable driver-side (with a candidate mask) and as a
-    map_batches function."""
-    vec_verify = _make_vector_verifier(
-        ctx, lang_exts, fname_matches, ranking_terms, compound_parts,
-        postings, seen=seen,
-    )
-    row_verify = _make_verifier(
-        ctx, lang_exts, fname_matches, ranking_terms,
-        files_only=False, seen=seen, allow_tests=True,
-    )
-    specials = sorted(ctx.specials)
-
-    def verify(batch: pa.Table, cand_mask=None) -> pa.Table:
-        n = batch.num_rows
-        if n == 0:
-            return _FEATS_SCHEMA.empty_table()
-        if "content_lower" in batch.schema.names:
-            cl = batch.column("content_lower")
-        else:
-            cl = pc.utf8_lower(batch.column("content"))
-            batch = batch.append_column("content_lower", cl)
-        pl = pc.utf8_lower(batch.column("path"))
-        hit = np.zeros(n, dtype=bool)
-        for s in specials:
-            hit |= pc.match_substring(cl, s).to_numpy(zero_copy_only=False)
-            hit |= pc.match_substring(pl, s).to_numpy(zero_copy_only=False)
-        # Arrow utf8_lower can differ from Python str.lower() on a few
-        # codepoints (e.g. U+0130 expands to two chars in Python): re-check
-        # arrow-NEGATIVE non-ASCII rows with the row verifier's exact
-        # `str.lower()` containment rule. Arrow false POSITIVES are
-        # harmless — re-tokenizing an unaffected doc reproduces the stored
-        # tokens by the invariant above.
-        non_ascii = ~(
-            pc.string_is_ascii(batch.column("content")).to_numpy(
-                zero_copy_only=False)
-            & pc.string_is_ascii(batch.column("path")).to_numpy(
-                zero_copy_only=False)
-        )
-        check = non_ascii & ~hit
-        if check.any():
-            idx = np.flatnonzero(check)
-            take = pa.array(idx)
-            contents = batch.column("content").take(take).to_pylist()
-            paths = batch.column("path").take(take).to_pylist()
-            for j, c, p in zip(idx, contents, paths):
-                cl_py, pl_py = c.lower(), p.lower()
-                if any(s in cl_py or s in pl_py for s in specials):
-                    hit[j] = True
-        keep = (
-            np.ones(n, dtype=bool) if cand_mask is None
-            else np.asarray(cand_mask, dtype=bool)
-        )
-        parts = []
-        vec_mask = keep & ~hit
-        if vec_mask.any():
-            parts.append(vec_verify(batch, vec_mask))
-        row_mask = keep & hit
-        n_hit = int(row_mask.sum())
-        if n_hit:
-            sub = batch.filter(pa.array(row_mask))
-            if fanout and n_hit >= _HIT_FANOUT_MIN:
-                fn_ref = ray.put(row_verify)
-                step = -(-n_hit // _HIT_FANOUT_TASKS)
-                refs = [
-                    _apply_verify.remote(fn_ref, sub.slice(i, step))
-                    for i in range(0, n_hit, step)
-                ]
-                parts.extend(ray.get(refs))
-            else:
-                parts.append(row_verify(sub))
-        parts = [p for p in parts if p.num_rows]
-        if not parts:
-            return _FEATS_SCHEMA.empty_table()
-        if len(parts) == 1:
-            return parts[0]
-        # the two partitions are doc_id-disjoint; restore doc order
-        return pa.concat_tables(parts).sort_by("doc_id")
 
     return verify
 
@@ -2682,171 +2655,6 @@ _BLOCK_FINISH = _FinishSpec(
     schema=_BLOCK_FEATS_SCHEMA,
     boost=_node_type_boost,
 )
-
-
-def _terms_to_bits(terms, plan_term_pos) -> bytes:
-    if not terms or not plan_term_pos:
-        return b""
-    arr = np.zeros(len(plan_term_pos), dtype=np.uint8)
-    for t in terms:
-        p = plan_term_pos.get(t)
-        if p is not None:
-            arr[p] = 1
-    return np.packbits(arr).tobytes()
-
-
-def _make_verifier(ctx, lang_exts, fname_matches, ranking_terms,
-                   files_only=False, seen=None, allow_tests=True):
-    plan = ctx.plan
-    specials = ctx.specials
-    term_items = sorted(plan.term_indices.items(), key=lambda kv: kv[1])
-    filters = ctx.filters
-    no_filters = filters.is_empty()
-    is_universal = plan.is_universal
-    term_indices = plan.term_indices
-    eval_fast = None if is_universal else qp.make_evaluator(plan.ast, term_indices)
-    plan_term_pos = {t: i for i, t in enumerate(sorted(term_indices, key=term_indices.__getitem__))}
-    seen = seen or set()
-    # invert term -> doc_id arrays into doc_id -> term set for the row loop
-    by_doc: dict[int, set[str]] = {}
-    for t, arr in fname_matches.items():
-        for did in arr.tolist():
-            by_doc.setdefault(did, set()).add(t)
-    fname_matches = by_doc
-    # compound parts per plan term, precomputed once (file_processing.rs:1444)
-    compound_parts = {
-        t: parts
-        for t in term_indices
-        if len(parts := tok.split_compound_word_for_filtering(t, specials)) > 1
-    }
-    fname_ref = ray.put(fname_matches)
-    rt_set = frozenset(ranking_terms)
-
-    def verify(batch: pa.Table) -> pa.Table:
-        fmatches = ray.get(fname_ref)
-        out = {
-            "doc_id": [], "repo": [], "path": [], "dl": [], "tf": [],
-            "matched_bits": [], "kws_bits": [], "but": [], "n_bytes": [],
-        }
-        ids = batch.column("doc_id").to_pylist()
-        repos = batch.column("repo").to_pylist()
-        paths = batch.column("path").to_pylist()
-        contents = batch.column("content").to_pylist()
-        tokens_col = batch.column("tokens").to_pylist()
-        test_flags = (
-            batch.column("is_test").to_pylist()
-            if not allow_tests and "is_test" in batch.schema.names
-            else None
-        )
-        for row_i, (did, repo, path, content, tokens) in enumerate(zip(
-            ids, repos, paths, contents, tokens_col
-        )):
-            if not allow_tests:
-                from probe_ray.tools import is_test_file
-
-                if (
-                    test_flags[row_i]
-                    if test_flags is not None
-                    else is_test_file(path, content)
-                ):
-                    continue  # --allow-tests off: test files excluded
-                    # (file_list_cache.rs allow_tests semantics)
-            if lang_exts is not None:
-                ext = path.rsplit(".", 1)[-1].lower() if "." in path else None
-                if ext is None or ext not in lang_exts:
-                    continue
-            if not no_filters and not filters.matches_path(path):
-                continue
-            if specials:
-                # dynamic special terms can only change tokenization of a
-                # doc whose content/path CONTAINS the special term text
-                # (is_special_case compares against words/parts that are
-                # substrings of the text); others reuse stored tokens
-                cl = content.lower()
-                pl = path.lower()
-                if any(s in cl or s in pl for s in specials):
-                    vector = (
-                        tok.tokenize(content, specials)
-                        + tok.tokenize(path, specials)
-                    )
-                else:
-                    vector = tokens
-            else:
-                vector = tokens
-            vec_set = set(vector)
-            injected = None
-            missing = [t for t, _ in term_items if t not in vec_set]
-            if missing:
-                content_lower = content.lower()
-                injected = [t for t in missing if t in content_lower]
-                vec_set.update(injected)
-            if not is_universal:
-                matched = {t for t, _ in term_items if t in vec_set}
-                fm = fmatches.get(did)
-                if fm:
-                    matched |= fm
-                if not matched:
-                    continue
-                midx = {term_indices[t] for t in matched}
-                if files_only:
-                    # early-filter admission, negatives ignored
-                    # (search_runner.rs:637-686, 699-744)
-                    if not qp.evaluate(plan.ast, midx, term_indices, True):
-                        continue
-                else:
-                    if seen and f"{repo}/{path}" in seen:
-                        continue  # session anti-join (search_runner.rs:746-799)
-                    if not eval_fast(midx):
-                        continue
-            else:
-                matched = set()
-                if not files_only and seen and f"{repo}/{path}" in seen:
-                    continue
-            dl = len(vector) + (len(injected) if injected else 0)
-            if ranking_terms:
-                cnt: dict[str, int] = {}
-                for v in vector:
-                    if v in rt_set:
-                        cnt[v] = cnt.get(v, 0) + 1
-                if injected:
-                    for t in injected:
-                        if t in rt_set:
-                            cnt[t] = cnt.get(t, 0) + 1
-                tf = [cnt.get(t, 0) for t in ranking_terms]
-            else:
-                tf = []
-            # block stats (file_processing.rs:1426-1469)
-            direct = {t for t in term_indices if t in vec_set}
-            compound = {
-                t for t, parts in compound_parts.items()
-                if t not in direct and all(p in vec_set for p in parts)
-            }
-            out["doc_id"].append(did)
-            out["repo"].append(repo)
-            out["path"].append(path)
-            out["dl"].append(dl)
-            out["tf"].append(tf)
-            out["matched_bits"].append(
-                b"" if files_only else _terms_to_bits(matched, plan_term_pos)
-            )
-            out["kws_bits"].append(_terms_to_bits(direct | compound, plan_term_pos))
-            out["but"].append(len(direct) + len(compound))
-            out["n_bytes"].append(len(content.encode("utf-8", "surrogatepass")))
-        return pa.table(
-            {
-                "doc_id": pa.array(out["doc_id"], pa.int64()),
-                "repo": pa.array(out["repo"], pa.string()),
-                "path": pa.array(out["path"], pa.string()),
-                "dl": pa.array(out["dl"], pa.int32()),
-                "tf": pa.array(out["tf"], pa.list_(pa.int32())),
-                "matched_bits": pa.array(out["matched_bits"], pa.binary()),
-                "kws_bits": pa.array(out["kws_bits"], pa.binary()),
-                "but": pa.array(out["but"], pa.int32()),
-                "n_bytes": pa.array(out["n_bytes"], pa.int64()),
-            }
-        )
-
-    return verify
 
 
 def _tf_matrix(col, n: int, dtype=np.float64) -> np.ndarray:

@@ -1081,3 +1081,25 @@ def test_limited_search_results_metadata(t2_rows, t2_index):
     assert m["limits_applied"]["total_bytes"] is None
     assert m["limits_applied"]["total_tokens"] is None
     assert m["cached_blocks_skipped"] is None
+
+
+def test_block_search_without_rows_leaves_empty_meta(t2_index):
+    """search_blocks calls that return before the limits (no candidate
+    docs, no extracted blocks, no MaxScore hits in global mode) write a
+    fresh empty LimitedSearchResults record: on a fresh engine, and on an
+    engine whose previous call returned rows under limits."""
+    empty = dict(n_results=0, limits_applied=None, n_skipped_by_limits=0,
+                 cached_blocks_skipped=None, files_skipped_early_termination=None)
+    early_returns = [
+        (['"zzzznotthere"'], {}),  # no candidate ids
+        (["keywordAlpha"], {"language": "haskell"}),  # no extracted blocks
+        (["zzzznotthere"], {"mode": "global", "max_results": 3}),  # no MaxScore hits
+    ]
+    for queries, opts in early_returns:
+        engine = Engine(t2_index)
+        assert engine.search_blocks(queries, **opts).num_rows == 0
+        assert engine.last_search_meta == empty, (queries, opts)
+        assert engine.search_blocks(["keywordAlpha"], max_results=2).num_rows == 2
+        assert engine.last_search_meta["limits_applied"] is not None
+        assert engine.search_blocks(queries, **opts).num_rows == 0
+        assert engine.last_search_meta == empty, (queries, opts)

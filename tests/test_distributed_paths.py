@@ -16,29 +16,98 @@ _SUBSET = [q for q in QUERY_SUITE if q[0] in (
     "q09_quoted_exact", "q14_filename_only", "q18_all_stopwords",
     "q19_bm25_gradient", "q22_multi_query_and", "q23_max_results",
     "q24_files_only", "q25_max_bytes", "q26_max_tokens", "q29_allow_tests_off",
+    "q10_exact_plus_negative", "q17_filename_autodetect",
 )]
+
+# quoted (special) terms with the options that change admission: each row
+# a special term touches is re-tokenized inside the one doc verifier
+_SPECIAL_OPTION_CASES = [
+    ("quoted_files_only", ['"keywordAlpha" keywordBeta'], {"files_only": True}),
+    ("quoted_negative_files_only", ['"keywordAlpha" -keywordGamma'],
+     {"files_only": True}),
+    ("quoted_no_tests", ['"keywordAlpha"'], {"allow_tests": False}),
+    ("quoted_or_no_tests", ['"keywordAlpha" OR zetaTerm'], {"allow_tests": False}),
+]
+
+
+def force_distributed(engine: Engine) -> Engine:
+    """Send every crossover of ``engine`` to its Ray Data branch."""
+    for name in ("LOCAL_DOCS_MAX", "LOCAL_CAND_MAX", "LOCAL_FEATS_MAX"):
+        setattr(engine, name, 0)
+    return engine
 
 
 @pytest.fixture()
-def distributed_engine(t2_index, monkeypatch):
-    monkeypatch.setattr(Engine, "LOCAL_DOCS_MAX", 0)
-    monkeypatch.setattr(Engine, "LOCAL_CAND_MAX", 0)
-    monkeypatch.setattr(Engine, "LOCAL_VECTOR_CAND_MAX", 0)
-    monkeypatch.setattr(Engine, "LOCAL_FEATS_MAX", 0)
-    return Engine(t2_index)
+def distributed_engine(t2_index):
+    return force_distributed(Engine(t2_index))
+
+
+def assert_same_hits(got, expected, label):
+    """Engine rows vs oracle hits: ids, ranks, scores at 1e-9, matched terms."""
+    assert len(got) == len(expected), f"{label}: {len(got)} vs {len(expected)}"
+    for i, (g, e) in enumerate(zip(got, expected)):
+        assert g["doc_id"] == e.doc_id, f"{label} row {i}"
+        assert g["rank"] == e.rank, f"{label} row {i}"
+        assert math.isclose(g["score"], e.score, abs_tol=1e-9), f"{label} row {i}"
+        assert math.isclose(g["bm25_score"], e.bm25_score, abs_tol=1e-9), f"{label} row {i}"
+        assert list(g["matched_terms"]) == list(e.matched_terms), f"{label} row {i}"
 
 
 @pytest.mark.parametrize("qid,queries,opts", _SUBSET, ids=[q[0] for q in _SUBSET])
 def test_distributed_rank_identity(qid, queries, opts, t2_rows, distributed_engine):
     expected = oracle_search(t2_rows, queries, **opts)
-    got = distributed_engine.search(queries, **opts).to_pylist()
-    assert len(got) == len(expected), f"{qid}: {len(got)} vs {len(expected)}"
-    for i, (g, e) in enumerate(zip(got, expected)):
-        assert g["doc_id"] == e.doc_id, f"{qid} row {i}"
-        assert g["rank"] == e.rank, f"{qid} row {i}"
-        assert math.isclose(g["score"], e.score, abs_tol=1e-9), f"{qid} row {i}"
-        assert math.isclose(g["bm25_score"], e.bm25_score, abs_tol=1e-9), f"{qid} row {i}"
-        assert list(g["matched_terms"]) == list(e.matched_terms), f"{qid} row {i}"
+    assert_same_hits(distributed_engine.search(queries, **opts).to_pylist(), expected, qid)
+
+
+@pytest.mark.parametrize("on_ray", [False, True], ids=["in_process", "distributed"])
+@pytest.mark.parametrize("qid,queries,opts", _SPECIAL_OPTION_CASES,
+                         ids=[q[0] for q in _SPECIAL_OPTION_CASES])
+def test_special_terms_with_options(qid, queries, opts, on_ray, t2_rows, t2_index):
+    expected = oracle_search(t2_rows, queries, **opts)
+    assert expected, qid
+    engine = Engine(t2_index)
+    if on_ray:
+        force_distributed(engine)
+    assert_same_hits(engine.search(queries, **opts).to_pylist(), expected, qid)
+
+
+def test_special_term_where_python_and_arrow_lowercase_differ(tmp_path, ray_session):
+    """U+0130 lowers to two codepoints in Python ("i" + U+0307) and to one
+    in Arrow's utf8_lower. A quoted term spelled with it must still match
+    the rows whose Python-lowered text contains it, in process and on Ray."""
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    from probe_ray.build import build_index
+
+    rows = [
+        dict(repo="r", path=f"src/m{i}.rs", commit="c", lang="rust", content=c)
+        for i, c in enumerate([
+            "fn İstanbulHandler() { keywordAlpha(); }\n",
+            "// İstanbulHandler keywordBeta\nfn other() {}\n",
+            "fn istanbulHandler() { keywordAlpha(); }\n",
+            "fn unrelated() { keywordBeta(); }\n",
+        ])
+    ]
+    rows.append(dict(repo="r", path="tests/test_m.rs", commit="c", lang="rust",
+                     content="#[test]\nfn t() { İstanbulHandler(); }\n"))
+    corpus = tmp_path / "lower.parquet"
+    pq.write_table(pa.Table.from_pylist(rows), str(corpus))
+    index = build_index(str(corpus), str(tmp_path / "idx"))
+    by_path = {r["path"]: r["content"] for r in rows}
+    engines = [Engine(index), force_distributed(Engine(index))]
+    cases = [
+        (['"İstanbulHandler"'], {}),
+        (['"İstanbulHandler" OR keywordBeta'], {}),
+        (['"İstanbulHandler" keywordAlpha'], {"files_only": True}),
+        (['"İstanbulHandler" -keywordBeta'], {"allow_tests": False}),
+    ]
+    for queries, opts in cases:
+        expected = oracle_search(rows, queries, **opts)
+        assert any("İstanbulHandler" in by_path[h.path] for h in expected)
+        for engine in engines:
+            assert_same_hits(engine.search(queries, **opts).to_pylist(), expected,
+                             f"{queries} {opts}")
 
 
 def _feats_layouts(feats, monkeypatch):

@@ -120,19 +120,26 @@ def test_fuzz_block_session_pagination(seed, t2_rows, t2_index, tmp_path):
 
 @pytest.mark.parametrize("seed", range(12))
 def test_fuzz_rank_identity(seed, t2_rows, t2_index):
+    """Random query and one of the admission options, in process and with
+    every crossover forced onto Ray Data."""
     rng = random.Random(1000 + seed)
     query = _gen_query(rng)
+    opts = rng.choice([{}, {"files_only": True}, {"allow_tests": False}])
     try:
-        expected = oracle_search(t2_rows, [query])
+        expected = oracle_search(t2_rows, [query], **opts)
     except Exception:
         pytest.skip(f"oracle rejects query {query!r}")
-    engine = Engine(t2_index)
-    got = engine.search([query]).to_pylist()
-    assert len(got) == len(expected), (
-        f"{query!r}: engine {len(got)} vs oracle {len(expected)}"
-    )
-    for i, (g, e) in enumerate(zip(got, expected)):
-        assert g["doc_id"] == e.doc_id, f"{query!r} row {i}"
-        assert g["rank"] == e.rank, f"{query!r} row {i}"
-        assert math.isclose(g["score"], e.score, abs_tol=1e-9), f"{query!r} row {i}"
-        assert tuple(g["matched_terms"]) == tuple(e.matched_terms), f"{query!r} row {i}"
+    on_ray = Engine(t2_index)
+    for name in ("LOCAL_DOCS_MAX", "LOCAL_CAND_MAX", "LOCAL_FEATS_MAX"):
+        setattr(on_ray, name, 0)
+    for engine in (Engine(t2_index), on_ray):
+        label = f"{query!r} {opts} on_ray={engine is on_ray}"
+        got = engine.search([query], **opts).to_pylist()
+        assert len(got) == len(expected), (
+            f"{label}: engine {len(got)} vs oracle {len(expected)}"
+        )
+        for i, (g, e) in enumerate(zip(got, expected)):
+            assert g["doc_id"] == e.doc_id, f"{label} row {i}"
+            assert g["rank"] == e.rank, f"{label} row {i}"
+            assert math.isclose(g["score"], e.score, abs_tol=1e-9), f"{label} row {i}"
+            assert tuple(g["matched_terms"]) == tuple(e.matched_terms), f"{label} row {i}"

@@ -135,3 +135,63 @@ def test_multi_query_joined_with_and():
 def test_parse_error_fallbacks():
     with pytest.raises(Exception):
         parse_query("!!! ***")
+
+
+def _term_strategy():
+    from hypothesis import strategies as st
+
+    return st.builds(
+        lambda kws, kind: Term(kws, None, kind == "required", kind == "excluded"),
+        st.lists(st.sampled_from(["alpha", "Beta", "gamma", "delta"]),
+                 min_size=0, max_size=2),  # keyword-less terms too
+        st.sampled_from(["plain", "required", "excluded"]),
+    )
+
+
+def _ast_strategy():
+    from hypothesis import strategies as st
+
+    return st.recursive(
+        _term_strategy(),
+        lambda sub: st.builds(And, sub, sub) | st.builds(Or, sub, sub),
+        max_leaves=6,
+    )
+
+
+def test_vector_evaluator_matches_evaluate_property():
+    """make_vector_evaluator(ast, ti, ignore_negatives=b) admits exactly the
+    rows evaluate(ast, matched, ti, b) admits, for both values of b, over
+    random ASTs (required, excluded, only-excluded and keyword-less terms)
+    and random per-row term membership."""
+    import numpy as np
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+
+    from probe_ray.queryparse import is_only_excluded_terms, make_vector_evaluator, walk_terms
+
+    def all_excluded(ast):
+        for t in walk_terms(ast):
+            t.excluded, t.required = True, False
+        return ast
+
+    asts = _ast_strategy() | _ast_strategy().map(all_excluded)
+
+    @given(asts, st.data())
+    @settings(max_examples=300, deadline=None)
+    def check(ast, data):
+        ti = {t: i for i, t in enumerate(sorted(
+            {kw for term in walk_terms(ast) for kw in term.lowercase_keywords}))}
+        n = data.draw(st.integers(min_value=1, max_value=12))
+        bits = np.array(data.draw(st.lists(
+            st.booleans(), min_size=n * len(ti), max_size=n * len(ti)
+        )), dtype=bool).reshape(n, len(ti))
+        members = {t: bits[:, i] for t, i in ti.items()}
+        for ignore in (False, True):
+            got = make_vector_evaluator(ast, ti, ignore_negatives=ignore)(members, n)
+            want = [
+                evaluate(ast, {i for t, i in ti.items() if bits[r, i]}, ti, ignore)
+                for r in range(n)
+            ]
+            assert got.tolist() == want, (str(ast), ignore, is_only_excluded_terms(ast))
+
+    check()
