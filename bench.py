@@ -251,6 +251,33 @@ def run_bench() -> dict:
     update_index(aug_dir, BENCH_INDEX)
     results["index_update_5pct_sec"] = round(time.time() - t0, 3)
 
+    # changed-file update: ~1% of the files edited in place (a renumbering
+    # rebuild: only the edited files are re-tokenized) on top of the above
+    chg_dir = BENCH_CORPUS + "_chg"
+    if not os.path.exists(_marker(chg_dir)):
+        import shutil
+
+        if os.path.exists(chg_dir):
+            shutil.rmtree(chg_dir)
+        os.makedirs(chg_dir)
+        parts = sorted(f for f in os.listdir(aug_dir) if f.endswith(".parquet"))
+        for f in parts[1:]:
+            os.symlink(os.path.realpath(os.path.join(aug_dir, f)),
+                       os.path.join(chg_dir, f))
+        tbl = _pq.read_table(os.path.join(aug_dir, parts[0]))
+        content = tbl.column("content").to_pylist()
+        for i in range(min(max(1, n_files // 100), len(content))):
+            content[i] += "// changed\n"
+        _pq.write_table(
+            tbl.set_column(tbl.schema.get_field_index("content"), "content",
+                           _pa.array(content, _pa.string())),
+            os.path.join(chg_dir, parts[0]),
+        )
+        open(_marker(chg_dir), "w").close()
+    t0 = time.time()
+    update_index(chg_dir, BENCH_INDEX)
+    results["index_update_change_1pct_sec"] = round(time.time() - t0, 3)
+
     # 3) documents-table pipelines at $GRAFT_SF_DIR
     from probe_ray import textops as T
 

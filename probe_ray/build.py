@@ -8,16 +8,18 @@ Pipeline (SURVEY.md §7.1, all stages streaming Arrow batches):
     -> per-block id assignment (prefix-sum offsets)
     -> map_batches(tokenize)                           [the hot stage]
     -> docs table (parquet, partitioned)
-    -> map_batches(postings partial-encode)            [per-batch combine]
-    -> groupby(term [, salt for hot terms]).map_groups(merge+encode)
+    -> map_batches(postings partials)                  [per-batch combine]
+    -> sort(term, salt).map_batches(run merge, encode once)
     -> segments table (parquet, partitioned by shard)
   + stats.json (n_docs, sum_dl, avgdl) + manifest.json (lineage, resume)
 
 Scale notes:
-- The ONLY all-to-all shuffles are the doc-id sort and the groupby(term)
-  posting shuffle (SURVEY.md §7.3). Postings are pre-combined per batch into
-  delta+varint sub-blobs BEFORE the shuffle, so the exchange moves ~2
-  bytes/posting instead of (term string + int64) rows.
+- The ONLY all-to-all shuffles are the doc-id sort and the (term, salt)
+  posting sort (SURVEY.md §7.3). Postings are pre-combined per batch into
+  one row per (term, salt) run — list<uint64> ids, list<uint8> tfs — BEFORE
+  the shuffle, so the term string moves once per run instead of once per
+  posting, and the merger encodes each list once (no per-batch encode,
+  decode and re-encode).
 - Hot-term skew ('fn', 'import'-class terms have df ≈ N): terms whose
   sampled df exceeds ``hot_df_threshold`` are salted into
   ``salt_buckets`` doc-id-range groups; their salted blobs are stored
@@ -34,10 +36,15 @@ Scale notes:
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import os
 import shutil
+import threading
+import time
+import uuid
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -128,131 +135,136 @@ def tokenize_batch(batch: pa.Table) -> pa.Table:
     return out
 
 
-def _posting_rows(batch: pa.Table) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Flatten a docs batch into (term, doc_id, tfbyte) arrays.
-    tfbyte packs content-tf in bits 0-3 and path-tf in bits 4-7."""
-    doc_ids = batch.column("doc_id").to_numpy()
-    tokens_col = batch.column("tokens").to_pylist()
-    n_content = batch.column("n_content_tokens").to_numpy()
-    shadows_col = batch.column("shadow_tokens").to_pylist()
-    terms, ids, tfb = [], [], []
-    for did, toks, nc, shadows in zip(doc_ids, tokens_col, n_content, shadows_col):
-        nc = int(nc)
-        # content and path token runs are each already deduplicated by
-        # tokenize(), so only the cross-run overlap needs merging
-        counts: dict[str, int] = dict.fromkeys(toks[:nc], 1)
-        for t in toks[nc:]:
-            counts[t] = counts.get(t, 0) + 16  # path bit
-        for t in shadows:  # tf=0 shadow postings (substring retrieval)
-            counts.setdefault(t, 0)
-        terms.extend(counts.keys())
-        ids.extend([did] * len(counts))
-        tfb.extend(counts.values())
-    return (
-        np.array(terms, dtype=object),
-        np.array(ids, dtype=np.uint64),
-        np.array(tfb, dtype=np.uint8),
-    )
+def _posting_runs(key: str, terms: pa.Array, ids: np.ndarray,
+                  in_content: np.ndarray, in_path: np.ndarray,
+                  salt_shift: int, hot: pa.Array | None = None) -> pa.Table:
+    """Group a batch's (term, doc_id) postings into one row per (term, salt)
+    run: ``key``, salt, df (postings with tf > 0) and the run's ascending
+    doc ids (list<uint64>) with their tf bytes (list<uint8>). A (term, doc)
+    pair listed several times is one posting whose tf byte packs content
+    presence in bits 0-3 and the path count in bits 4-7. Terms in ``hot``
+    (every term when ``hot`` is None) are salted by doc-id range."""
+    enc = pc.dictionary_encode(terms)
+    codes = enc.indices.to_numpy()
+    salts = ids >> np.uint64(salt_shift)
+    if hot is not None:
+        is_hot = pc.is_in(enc.dictionary, value_set=hot).to_numpy(
+            zero_copy_only=False
+        )
+        salts = np.where(is_hot[codes], salts, np.uint64(0))
+    order = np.lexsort((ids, codes))  # salt rises with the id
+    codes, ids, salts = codes[order], ids[order], salts[order]
+    first = np.ones(codes.size, dtype=bool)
+    first[1:] = (codes[1:] != codes[:-1]) | (ids[1:] != ids[:-1])
+    pairs = np.flatnonzero(first)
+    tfs = (
+        np.maximum.reduceat(in_content[order], pairs)
+        + 16 * np.add.reduceat(in_path[order], pairs)
+    ).astype(np.uint8)
+    codes, ids, salts = codes[pairs], ids[pairs], salts[pairs]
+    first = np.ones(codes.size, dtype=bool)
+    first[1:] = (codes[1:] != codes[:-1]) | (salts[1:] != salts[:-1])
+    runs = np.flatnonzero(first)
+    offsets = pa.array(np.append(runs, codes.size).astype(np.int32))
+    return pa.table({
+        key: enc.dictionary.take(pa.array(codes[runs])),
+        "salt": pa.array(salts[runs].astype(np.int32)),
+        "df": pa.array(np.add.reduceat((tfs > 0).astype(np.int64), runs)),
+        "ids": pa.ListArray.from_arrays(offsets, pa.array(ids, pa.uint64())),
+        "tfs": pa.ListArray.from_arrays(offsets, pa.array(tfs, pa.uint8())),
+    })
 
 
-def make_partial_segments(hot_terms: dict[str, int], salt_shift: int):
-    """Returns the per-batch partial posting encoder. Pre-combines each
-    batch's postings into one encoded sub-blob per (term, salt) BEFORE the
-    shuffle."""
+def make_partial_segments(hot_terms, salt_shift: int):
+    """Returns the per-batch posting combiner: each batch's postings grouped
+    into one (term, salt) run row BEFORE the shuffle, built vectorized from
+    the flattened ``tokens`` (content run, then path run) and
+    ``shadow_tokens`` (tf=0 postings for substring retrieval) lists."""
+    hot = pa.array(sorted(hot_terms), pa.string())
 
     def partial(batch: pa.Table) -> pa.Table:
-        terms, ids, tfb = _posting_rows(batch)
-        if terms.size == 0:
-            return pa.table(
-                {
-                    "term": pa.array([], pa.string()),
-                    "salt": pa.array([], pa.int32()),
-                    "df": pa.array([], pa.int64()),
-                    "blob": pa.array([], pa.binary()),
-                }
-            )
-        order = np.lexsort((ids, terms))
-        terms, ids, tfb = terms[order], ids[order], tfb[order]
-        out_t, out_s, out_df, out_blob = [], [], [], []
-        # run boundaries per term
-        change = np.flatnonzero(terms[1:] != terms[:-1]) + 1
-        starts = np.concatenate([[0], change])
-        ends = np.concatenate([change, [terms.size]])
-        for s, e in zip(starts, ends):
-            term = terms[s]
-            salt = (
-                int(ids[s]) >> salt_shift if term in hot_terms else 0
-            )  # ids within a batch share a range; refine per-row below
-            if term in hot_terms:
-                salts = ids[s:e] >> np.uint64(salt_shift)
-                for sv in np.unique(salts):
-                    m = salts == sv
-                    blob, _, _ = codec.encode_postings(ids[s:e][m], tfb[s:e][m])
-                    out_t.append(term)
-                    out_s.append(int(sv))
-                    # df counts REAL (tf>0) postings only; shadows excluded
-                    out_df.append(int((tfb[s:e][m] > 0).sum()))
-                    out_blob.append(blob)
-            else:
-                blob, _, _ = codec.encode_postings(ids[s:e], tfb[s:e])
-                out_t.append(term)
-                out_s.append(0)
-                out_df.append(int((tfb[s:e] > 0).sum()))
-                out_blob.append(blob)
-        return pa.table(
-            {
-                "term": pa.array(out_t, pa.string()),
-                "salt": pa.array(out_s, pa.int32()),
-                "df": pa.array(out_df, pa.int64()),
-                "blob": pa.array(out_blob, pa.binary()),
-            }
+        doc_ids = batch.column("doc_id").to_numpy().astype(np.uint64)
+        toks = batch.column("tokens").combine_chunks()
+        shadows = batch.column("shadow_tokens").combine_chunks()
+        n_tok = pc.list_value_length(toks).fill_null(0).to_numpy()
+        n_sh = pc.list_value_length(shadows).fill_null(0).to_numpy()
+        # position of each token in its doc's list: the first
+        # n_content_tokens are content tokens, the rest path tokens
+        pos = np.arange(int(n_tok.sum())) - np.repeat(
+            np.cumsum(n_tok) - n_tok, n_tok
+        )
+        in_content = pos < np.repeat(
+            batch.column("n_content_tokens").to_numpy(), n_tok
+        )
+        no_tf = np.zeros(int(n_sh.sum()), dtype=np.uint8)
+        return _posting_runs(
+            "term",
+            pa.concat_arrays(
+                [pc.list_flatten(toks), pc.list_flatten(shadows)]
+            ),
+            np.concatenate(
+                [np.repeat(doc_ids, n_tok), np.repeat(doc_ids, n_sh)]
+            ),
+            np.concatenate([in_content.astype(np.uint8), no_tf]),
+            np.concatenate([(~in_content).astype(np.uint8), no_tf]),
+            salt_shift, hot,
         )
 
     return partial
 
 
+def _merge_runs(batch: pa.Table, key: str, n_shards: int,
+                skips: bool) -> pa.Table:
+    """Merge the run rows of a (key, salt)-sorted batch: each (key, salt)
+    run's id and tf lists are concatenated, put in id order and encoded
+    ONCE into the segment row (blob, plus skip pairs and block-max when
+    ``skips``). A run straddling a batch boundary simply yields two segment
+    rows; readers already concatenate several rows per (key, salt)."""
+    terms = batch.column(key).to_numpy(zero_copy_only=False)
+    salts = batch.column("salt").to_numpy()
+    first = np.ones(terms.size, dtype=bool)
+    first[1:] = (terms[1:] != terms[:-1]) | (salts[1:] != salts[:-1])
+    runs = np.flatnonzero(first)
+    ids_col = batch.column("ids").combine_chunks()
+    tfs_col = batch.column("tfs").combine_chunks()
+    ids = pc.list_flatten(ids_col).to_numpy()
+    tfs = pc.list_flatten(tfs_col).to_numpy()
+    offs = np.concatenate(
+        [[0], np.cumsum(pc.list_value_length(ids_col).to_numpy())]
+    )
+    bounds = np.append(runs, terms.size)
+    encoded = []
+    for s, e in zip(bounds[:-1], bounds[1:]):
+        r_ids, r_tfs = ids[offs[s]:offs[e]], tfs[offs[s]:offs[e]]
+        if e - s > 1:  # sub-lists of several batches: disjoint, unordered
+            order = np.argsort(r_ids, kind="stable")
+            r_ids, r_tfs = r_ids[order], r_tfs[order]
+        encoded.append(codec.encode_postings(r_ids, r_tfs))
+    out = {
+        key: pa.array(terms[runs], pa.string()),
+        "salt": pa.array(salts[runs], pa.int32()),
+        "shard": pa.array(
+            [_term_shard(t, n_shards) for t in terms[runs]], pa.int32()
+        ),
+        "df": pa.array(
+            np.add.reduceat(batch.column("df").to_numpy(), runs), pa.int64()
+        ),
+    }
+    for i, c in enumerate(["blob", "skip", "block_max"][: 3 if skips else 1]):
+        out[c] = pa.array([enc[i] for enc in encoded], pa.binary())
+    return pa.table(out)
+
+
 def make_segment_merger(n_shards: int):
-    """Merge sub-blob runs within a (term, salt)-sorted batch into final
-    segment rows with skip blocks and block-max.
+    """Merge the (term, salt) runs of a sorted batch into final segment
+    rows with skip blocks and block-max.
 
     Applied via sort(term, salt) -> map_batches (NOT groupby.map_groups:
     per-group dispatch overhead dominates with vocabulary-sized group
-    counts). A (term, salt) run straddling a batch boundary simply yields
-    two segment rows; the query path already concatenates multiple rows per
-    term (same mechanism as salted blobs)."""
+    counts)."""
 
     def merge_batch(batch: pa.Table) -> pa.Table:
-        terms = batch.column("term").to_pylist()
-        salts = batch.column("salt").to_pylist()
-        dfs = batch.column("df").to_pylist()
-        blobs = batch.column("blob").to_pylist()
-        out = {k: [] for k in
-               ("term", "salt", "shard", "df", "blob", "skip", "block_max")}
-        i, n = 0, len(terms)
-        while i < n:
-            j = i
-            while j < n and terms[j] == terms[i] and salts[j] == salts[i]:
-                j += 1
-            blob, skip, bmax = codec.merge_encoded(blobs[i:j])
-            out["term"].append(terms[i])
-            out["salt"].append(salts[i])
-            out["shard"].append(_term_shard(terms[i], n_shards))
-            out["df"].append(int(sum(dfs[i:j])))
-            out["blob"].append(blob)
-            out["skip"].append(skip)
-            out["block_max"].append(bmax)
-            i = j
-        return pa.table(
-            {
-                "term": pa.array(out["term"], pa.string()),
-                "salt": pa.array(out["salt"], pa.int32()),
-                "shard": pa.array(out["shard"], pa.int32()),
-                "df": pa.array(out["df"], pa.int64()),
-                "blob": pa.array(out["blob"], pa.binary()),
-                "skip": pa.array(out["skip"], pa.binary()),
-                "block_max": pa.array(out["block_max"], pa.binary()),
-            }
-        )
+        return _merge_runs(batch, "term", n_shards, skips=True)
 
     return merge_batch
 
@@ -264,54 +276,50 @@ DOC_LEN_SHARD = 1 << 22
 
 def _write_doc_lens_sharded(ds_len: "rd.Dataset", out_path: str) -> tuple[int, int]:
     """Write the dense doc_id -> doc_len attribute file WITHOUT driver-side
-    materialization: each DOC_LEN_SHARD id range writes its raw int32 slice
-    from a Ray task (doc ids are dense by construction, so range == slice),
-    and the driver stream-concatenates the slices under one npy header —
-    peak driver memory is a single slice buffer regardless of corpus size,
-    and the query side still mmaps one plain .npy. Returns
-    (n_docs, sum_doc_len) computed from the same scan."""
+    materialization: each map task saves its rows' (id, len) pairs per
+    DOC_LEN_SHARD id range, one Ray task per range scatters them into the
+    range's raw int32 slice (doc ids are dense by construction, so range ==
+    slice), and the driver stream-concatenates the slices under one npy
+    header — peak driver memory is a single slice buffer regardless of
+    corpus size, no shuffle runs, and the query side still mmaps one plain
+    .npy. Returns (n_docs, sum_doc_len) computed from the same scan."""
     shard_dir = f"{out_path}.shards.{os.getpid()}"
     if os.path.exists(shard_dir):
         shutil.rmtree(shard_dir)
     os.makedirs(shard_dir)
 
-    def add_shard(batch: pa.Table) -> pa.Table:
-        sh = (batch.column("doc_id").to_numpy() // DOC_LEN_SHARD).astype(np.int32)
-        return batch.append_column("shard", pa.array(sh, pa.int32()))
+    def save_pieces(batch: pa.Table) -> pa.Table:
+        ids = batch.column("doc_id").to_numpy()
+        lens = batch.column("doc_len").to_numpy()
+        shards = ids // DOC_LEN_SHARD
+        out = {"shard": [], "n": [], "dl_sum": []}
+        for sh in np.unique(shards).tolist():
+            m = shards == sh
+            d = os.path.join(shard_dir, f"{sh:08d}")
+            os.makedirs(d, exist_ok=True)
+            np.save(os.path.join(d, f"{uuid.uuid4().hex}.npy"),
+                    np.stack([ids[m] - sh * DOC_LEN_SHARD, lens[m]]))
+            out["shard"].append(sh)
+            out["n"].append(int(m.sum()))
+            out["dl_sum"].append(int(lens[m].sum()))
+        return pa.table({k: pa.array(v, pa.int64()) for k, v in out.items()})
 
-    def write_shard(group: pa.Table) -> pa.Table:
-        empty = pa.table(
-            {
-                "shard": pa.array([], pa.int32()),
-                "n": pa.array([], pa.int64()),
-                "dl_sum": pa.array([], pa.int64()),
-            }
-        )
-        if group.num_rows == 0:
-            return empty
-        ids = group.column("doc_id").to_numpy()
-        lens = group.column("doc_len").to_numpy()
-        shard = int(ids[0]) // DOC_LEN_SHARD
+    @ray.remote
+    def write_shard(shard: int) -> None:
         arr = np.zeros(DOC_LEN_SHARD, dtype="<i4")
-        arr[ids - shard * DOC_LEN_SHARD] = lens
+        d = os.path.join(shard_dir, f"{shard:08d}")
+        for f in os.listdir(d):
+            ids, lens = np.load(os.path.join(d, f))
+            arr[ids] = lens
         path = os.path.join(shard_dir, f"part-{shard:08d}.bin")
         with open(path + ".tmp", "wb") as f:
             f.write(arr.tobytes())
         os.replace(path + ".tmp", path)
-        return pa.table(
-            {
-                "shard": pa.array([shard], pa.int32()),
-                "n": pa.array([len(ids)], pa.int64()),
-                "dl_sum": pa.array([int(lens.sum())], pa.int64()),
-            }
-        )
 
-    parts = (
-        ds_len.map_batches(add_shard, batch_format="pyarrow")
-        .groupby("shard")
-        .map_groups(write_shard, batch_format="pyarrow")
-        .take_all()
-    )  # one tiny row per shard
+    parts = ds_len.map_batches(
+        save_pieces, batch_format="pyarrow", batch_size=None
+    ).take_all()  # one tiny row per (block, shard)
+    ray.get([write_shard.remote(sh) for sh in {int(r["shard"]) for r in parts}])
     n_docs = int(sum(r["n"] for r in parts))
     sum_dl = int(sum(r["dl_sum"] for r in parts))
 
@@ -382,32 +390,88 @@ def read_corpus(path: str) -> "rd.Dataset":
     return rd.read_parquet(path)
 
 
-def _compact_shard_dir(root: str, sort_keys: list[str]) -> None:
+def _as_dataset(corpus) -> "rd.Dataset":
+    return read_corpus(corpus) if isinstance(corpus, str) else corpus
+
+
+def _compact_shard_dir(root: str, sort_keys: list[str]) -> dict[int, tuple[int, int]]:
     """Segment-merge finish: rewrite each hive shard partition as ONE
     key-sorted parquet file (small row groups keep min/max stat pruning
-    effective). The per-partition write above leaves one file per (write
-    task x shard) — hundreds of tiny fragments whose footer walks dominate
-    per-query term-probe latency. One Ray task per shard."""
-    import pyarrow.parquet as _pq
-
+    effective). The per-partition write leaves one file per (write task x
+    shard) — hundreds of tiny fragments whose footer walks dominate
+    per-query term-probe latency. One Ray task per shard; each returns its
+    shard's (rows, max df), the skew metrics' inputs, so a shard already
+    in one file is read (df column only) but not rewritten."""
     shard_dirs = sorted(d for d in os.listdir(root) if d.startswith("shard="))
 
     @ray.remote
-    def compact(d: str) -> int:
+    def compact(d: str) -> tuple[int, int]:
         p = os.path.join(root, d)
         files = [f for f in os.listdir(p) if f.endswith(".parquet")]
         if len(files) <= 1:
-            return 0
-        tbl = _pq.read_table(p)
-        tbl = tbl.sort_by([(k, "ascending") for k in sort_keys])
-        tmp_f = os.path.join(p, "_compact.tmp")
-        _pq.write_table(tbl, tmp_f, row_group_size=2048)
-        for f in files:
-            os.remove(os.path.join(p, f))
-        os.rename(tmp_f, os.path.join(p, "segment-0.parquet"))
-        return tbl.num_rows
+            tbl = pa.concat_tables(
+                [pq.read_table(os.path.join(p, f), columns=["df"])
+                 for f in files]
+            ) if files else pa.table({"df": pa.array([], pa.int64())})
+        else:
+            tbl = pq.read_table(p).sort_by(
+                [(k, "ascending") for k in sort_keys]
+            )
+            tmp_f = os.path.join(p, "_compact.tmp")
+            pq.write_table(tbl, tmp_f, row_group_size=2048)
+            for f in files:
+                os.remove(os.path.join(p, f))
+            os.rename(tmp_f, os.path.join(p, "segment-0.parquet"))
+        return tbl.num_rows, int(pc.max(tbl.column("df")).as_py() or 0)
 
-    ray.get([compact.remote(d) for d in shard_dirs])
+    sizes = ray.get([compact.remote(d) for d in shard_dirs])
+    return {int(d.split("=", 1)[1]): sz for d, sz in zip(shard_dirs, sizes)}
+
+
+def _triple_keys(batch: pa.Table) -> np.ndarray:
+    """The (repo, path, commit) doc identity of each row, \x00-joined:
+    doc ids follow the sort order of these keys."""
+    return pc.binary_join_element_wise(
+        *(pc.cast(batch.column(c), pa.string())
+          for c in ("repo", "path", "commit")),
+        pa.scalar("\x00"),
+    ).to_numpy(zero_copy_only=False)
+
+
+def _member(ks: np.ndarray, bk: np.ndarray) -> np.ndarray:
+    """Which of ``bk`` occur in the sorted key array ``ks``."""
+    if not len(ks):
+        return np.zeros(len(bk), dtype=bool)
+    pos = np.searchsorted(ks, bk)
+    return (pos < len(ks)) & (ks[np.minimum(pos, len(ks) - 1)] == bk)
+
+
+def _filter_keys(keys_ref, keep_members: bool = True):
+    """Map fn: the rows whose key is (or, with keep_members=False, is not)
+    in the broadcast sorted key array."""
+
+    def run(batch: pa.Table) -> pa.Table:
+        m = _member(ray.get(keys_ref), _triple_keys(batch))
+        return batch.filter(pa.array(m if keep_members else ~m))
+
+    return run
+
+
+def _set_doc_ids(keys_ref, offset: int = 0):
+    """Map fn: doc_id = offset + the row key's position in the broadcast
+    sorted key array (replacing a stored doc_id column)."""
+
+    def run(batch: pa.Table) -> pa.Table:
+        ids = pa.array(
+            offset + np.searchsorted(ray.get(keys_ref), _triple_keys(batch)),
+            pa.int64(),
+        )
+        i = batch.schema.get_field_index("doc_id")
+        if i >= 0:
+            return batch.set_column(i, "doc_id", ids)
+        return batch.append_column("doc_id", ids)
+
+    return run
 
 
 # ---------------------------------------------------------------------------
@@ -453,40 +517,17 @@ def assign_doc_ids(ds: rd.Dataset) -> rd.Dataset:
             batch_format="pyarrow",
         )
     if n <= DRIVER_KEY_SORT_MAX:
-        keys_tbl = pa.concat_tables(
-            [
-                ray.get(r)
-                for r in ds.map_batches(
-                    lambda b: b.select(["repo", "path", "commit"]),
-                    batch_format="pyarrow",
-                ).to_arrow_refs()
-            ]
-        )
-        # one composite key per row; a SORTED numpy array broadcasts with
-        # near-zero deserialization cost (vs a python dict, which every task
-        # would re-deserialize) and doc_id = searchsorted position
-        sep = pa.scalar("\x00")
-        keys = pc.binary_join_element_wise(
-            keys_tbl.column("repo").combine_chunks(),
-            keys_tbl.column("path").combine_chunks(),
-            keys_tbl.column("commit").combine_chunks(),
-            sep,
-        ).to_numpy(zero_copy_only=False)
-        keys_sorted = np.sort(keys)
-        keys_ref = ray.put(keys_sorted)
-
-        def add_ids(batch: pa.Table) -> pa.Table:
-            ks = ray.get(keys_ref)
-            bk = pc.binary_join_element_wise(
-                batch.column("repo").combine_chunks(),
-                batch.column("path").combine_chunks(),
-                batch.column("commit").combine_chunks(),
-                sep,
-            ).to_numpy(zero_copy_only=False)
-            ids = np.searchsorted(ks, bk)
-            return batch.append_column("doc_id", pa.array(ids, pa.int64()))
-
-        return ds.map_batches(add_ids, batch_format="pyarrow")
+        # a SORTED numpy key array broadcasts with near-zero
+        # deserialization cost (vs a python dict, which every task would
+        # re-deserialize) and doc_id = searchsorted position
+        keys_tbl = pa.concat_tables([
+            ray.get(r) for r in ds.map_batches(
+                lambda b: b.select(["repo", "path", "commit"]),
+                batch_format="pyarrow",
+            ).to_arrow_refs()
+        ])
+        keys_ref = ray.put(np.sort(_triple_keys(keys_tbl)))
+        return ds.map_batches(_set_doc_ids(keys_ref), batch_format="pyarrow")
 
     sorted_ds = ds.sort(["repo", "path", "commit"]).materialize()
     refs = sorted_ds.to_arrow_refs()
@@ -597,18 +638,7 @@ class IndexPaths:
         update generations exist, else the expanded parquet FILE list
         (Ray accepts a list of files, not a list of directories)."""
         ps = self.docs_paths()
-        if len(ps) == 1:
-            return ps[0]
-        out: list[str] = []
-        for d in ps:
-            out.extend(
-                sorted(
-                    os.path.join(d, f)
-                    for f in os.listdir(d)
-                    if f.endswith(".parquet")
-                )
-            )
-        return out
+        return ps[0] if len(ps) == 1 else _parquet_files(ps)
 
     def segments_dirs(self) -> list[str]:
         return [self.segments_dir] + [
@@ -721,56 +751,28 @@ NGRAM_N = 3  # char n-gram width for the substring-candidate index
 
 def make_ngram_partials(salt_shift: int):
     """Per-batch encoder for the content char-n-gram index: per doc, the
-    SET of lowercase 3-grams of content -> pre-encoded (gram, salt) posting
-    sub-blobs (doc ids only; tf byte fixed at 1). Every gram is salted by
-    doc-id range (gram df is uniformly skewed — 'the'-class grams hit most
-    docs), which bounds single-blob size; read-time concatenation is the
-    same mechanism as the term index."""
+    SET of lowercase 3-grams of content -> (gram, salt) run rows of doc ids
+    (tf byte fixed at 1). Every gram is salted by doc-id range (gram df is
+    uniformly skewed — 'the'-class grams hit most docs), which bounds
+    single-blob size; read-time concatenation is the same mechanism as the
+    term index."""
 
     def partial(batch: pa.Table) -> pa.Table:
-        doc_ids = batch.column("doc_id").to_numpy()
-        contents = batch.column("content").to_pylist()
-        grams_l: list[str] = []
-        ids_l: list[int] = []
-        for did, content in zip(doc_ids, contents):
+        grams: list[str] = []
+        counts: list[int] = []
+        for content in batch.column("content").to_pylist():
             cl = content.lower()
             gs = {cl[i : i + NGRAM_N] for i in range(len(cl) - NGRAM_N + 1)}
             gs.discard("")
-            grams_l.extend(gs)
-            ids_l.extend([int(did)] * len(gs))
-        if not grams_l:
-            return pa.table(
-                {"gram": pa.array([], pa.string()),
-                 "salt": pa.array([], pa.int32()),
-                 "df": pa.array([], pa.int64()),
-                 "blob": pa.array([], pa.binary())}
-            )
-        grams = np.array(grams_l, dtype=object)
-        ids = np.array(ids_l, dtype=np.uint64)
-        salts = ids >> np.uint64(salt_shift)
-        order = np.lexsort((ids, salts, grams))
-        grams, ids, salts = grams[order], ids[order], salts[order]
-        keys = np.array(
-            [f"{g}\x00{s}" for g, s in zip(grams, salts)], dtype=object
+            grams.extend(gs)
+            counts.append(len(gs))
+        ids = np.repeat(
+            batch.column("doc_id").to_numpy().astype(np.uint64), counts
         )
-        change = np.flatnonzero(keys[1:] != keys[:-1]) + 1
-        starts = np.concatenate([[0], change])
-        ends = np.concatenate([change, [keys.size]])
-        tf_ones = np.ones(ids.size, dtype=np.uint8)
-        out_g, out_s, out_df, out_blob = [], [], [], []
-        for s, e in zip(starts, ends):
-            blob, _, _ = codec.encode_postings(ids[s:e], tf_ones[s:e])
-            out_g.append(grams[s])
-            out_s.append(int(salts[s]))
-            out_df.append(int(e - s))
-            out_blob.append(blob)
-        return pa.table(
-            {
-                "gram": pa.array(out_g, pa.string()),
-                "salt": pa.array(out_s, pa.int32()),
-                "df": pa.array(out_df, pa.int64()),
-                "blob": pa.array(out_blob, pa.binary()),
-            }
+        return _posting_runs(
+            "gram", pa.array(grams, pa.string()), ids,
+            np.ones(ids.size, dtype=np.uint8),
+            np.zeros(ids.size, dtype=np.uint8), salt_shift,
         )
 
     return partial
@@ -778,37 +780,300 @@ def make_ngram_partials(salt_shift: int):
 
 def make_ngram_merger(n_shards: int):
     """sort(gram, salt) -> map_batches run merge, mirroring the term-segment
-    merger (runs straddling batch bounds yield extra rows; readers concat)."""
+    merger (doc-id blobs only, no skip blocks)."""
 
     def merge_batch(batch: pa.Table) -> pa.Table:
-        grams = batch.column("gram").to_pylist()
-        salts = batch.column("salt").to_pylist()
-        dfs = batch.column("df").to_pylist()
-        blobs = batch.column("blob").to_pylist()
-        out = {k: [] for k in ("gram", "salt", "shard", "df", "blob")}
-        i, n = 0, len(grams)
-        while i < n:
-            j = i
-            while j < n and grams[j] == grams[i] and salts[j] == salts[i]:
-                j += 1
-            blob, _, _ = codec.merge_encoded(blobs[i:j])
-            out["gram"].append(grams[i])
-            out["salt"].append(salts[i])
-            out["shard"].append(_term_shard(grams[i], n_shards))
-            out["df"].append(int(sum(dfs[i:j])))
-            out["blob"].append(blob)
-            i = j
-        return pa.table(
-            {
-                "gram": pa.array(out["gram"], pa.string()),
-                "salt": pa.array(out["salt"], pa.int32()),
-                "shard": pa.array(out["shard"], pa.int32()),
-                "df": pa.array(out["df"], pa.int64()),
-                "blob": pa.array(out["blob"], pa.binary()),
-            }
-        )
+        return _merge_runs(batch, "gram", n_shards, skips=False)
 
     return merge_batch
+
+
+class _Stages:
+    """Stage record of one index write: wall time per stage and, with a
+    ledger file, the completed stages, so a rerun with the same input
+    fingerprint skips them. A stage output is written to a ``.part`` dir
+    and renamed into place, so a completed stage is always whole."""
+
+    def __init__(self, ledger: str | None = None, fp: str | None = None,
+                 done=()):
+        self.ledger, self.fp, self.done = ledger, fp, set(done)
+        self.sec: dict[str, float] = {}
+        self._lock = threading.Lock()
+
+    def __contains__(self, stage: str) -> bool:
+        return stage in self.done
+
+    @contextlib.contextmanager
+    def timed(self, stage: str):
+        t0 = time.time()
+        yield
+        self.sec[stage] = round(time.time() - t0, 3)
+
+    def write_dir(self, stage: str, final_dir: str, writer) -> None:
+        """Run ``writer(part_dir)`` unless ``stage`` is done."""
+        if stage in self.done:
+            return
+        part = final_dir + ".part"
+        for d in (part, final_dir):
+            if os.path.exists(d):
+                shutil.rmtree(d)
+        with self.timed(stage):
+            writer(part)
+        # a zero-row pipeline writes no directory at all
+        os.makedirs(part, exist_ok=True)
+        os.rename(part, final_dir)
+        with self._lock:
+            self.done.add(stage)
+            if self.ledger:
+                with open(self.ledger, "w") as f:
+                    json.dump(dict(fingerprint=self.fp,
+                                   done=sorted(self.done)), f)
+
+
+def _concurrently(*jobs):
+    """Run independent Ray Data jobs from driver threads, so their fixed
+    per-job latencies overlap; results in job order. Every thread is joined
+    before this returns, also when a job raises."""
+    if len(jobs) == 1:
+        return [jobs[0]()]
+    with ThreadPoolExecutor(max_workers=len(jobs)) as ex:
+        futs = [ex.submit(j) for j in jobs]
+        return [f.result() for f in futs]
+
+
+def _write_tail(root: IndexPaths, st: _Stages, *, n_shards: int,
+                ngram_index: bool, batch_size: int, hot=None,
+                salt_shift: int | None = None, salt_buckets: int = 8,
+                hot_threshold_frac: float = 0.05, id_offset: int = 0,
+                checkpoint_partials: bool | None = None,
+                _fail_after: str | None = None) -> dict:
+    """Everything an index directory derives from its docs table
+    (``root.docs_dir``): the key/sha side table, the doc-length attribute
+    file, the hot terms, the posting segments, the optional gram segments
+    and the skew metrics. Builds, renumbering rebuilds, update generations
+    and compactions all finish here.
+
+    ``hot`` and ``salt_shift`` come together: a generation or a compaction
+    keeps its base's layout, a build samples the hot terms from the docs
+    table and derives the salt shift from its doc count. ``id_offset`` is
+    the first doc id of the table (a generation's doc-length slice starts
+    at 0). Returns n_docs, sum_dl, hot, salt_shift and the skew metrics."""
+    stage_dirs = [root.segments_dir] + ([root.ngrams_dir] if ngram_index else [])
+    if not any(f.endswith(".parquet") for f in os.listdir(root.docs_dir)):
+        # EMPTY docs table: every read_parquet below would choke on the
+        # file-less dir, so finish a well-formed empty index directly
+        np.save(root.doc_lens_path, np.zeros(1, dtype="<i4"))
+        for d in [root.keys_dir] + [
+            os.path.join(d, f"shard={s}")
+            for d in stage_dirs for s in range(n_shards)
+        ]:
+            os.makedirs(d, exist_ok=True)
+        return dict(n_docs=0, sum_dl=0, hot=set(hot or ()),
+                    salt_shift=63 if salt_shift is None else salt_shift,
+                    metrics={})
+
+    def keys() -> None:
+        # narrow key/sha side table: update_index's change diff reads
+        # THIS instead of re-opening every (wide) docs parquet file
+        st.write_dir("keys", root.keys_dir, lambda p: rd.read_parquet(
+            root.docs_dir, columns=["repo", "path", "commit", "content_sha256"]
+        ).write_parquet(p, min_rows_per_file=131072))
+
+    def doc_lens() -> tuple[int, int]:
+        # ONE narrow (doc_id, doc_len) scan feeds both the corpus stats and
+        # the dense doc-length attribute file (mmapped at query time),
+        # written sharded so no (doc_id, doc_len) pull lands on the driver
+        ds_len = rd.read_parquet(root.docs_dir, columns=["doc_id", "doc_len"])
+        if id_offset:
+            ds_len = ds_len.map_batches(lambda b: b.set_column(
+                0, "doc_id", pc.subtract(b.column("doc_id"), id_offset)
+            ), batch_format="pyarrow")
+        if os.path.exists(root.doc_lens_path):
+            # resume with the attribute file already final: scalars only
+            return int(ds_len.count()), int(ds_len.sum("doc_len") or 0)
+        with st.timed("doc_lens"):
+            return _write_doc_lens_sharded(ds_len, root.doc_lens_path)
+
+    tok_ds = rd.read_parquet(
+        root.docs_dir,
+        columns=["doc_id", "tokens", "n_content_tokens", "shadow_tokens"],
+    )
+    first = [doc_lens, keys]
+    if hot is None:  # the layout needs the hot terms and the doc count
+        (n_docs, sum_dl), _, hot = _concurrently(
+            *first, lambda: sample_hot_terms(tok_ds, hot_threshold_frac)
+        )
+        first = []
+        salt_shift = 63
+        if n_docs > 0 and salt_buckets > 1:
+            salt_shift = max(
+                0, int(n_docs).bit_length() - int(salt_buckets).bit_length()
+            )
+    # checkpointing the partials pays only when a stage retry is expensive
+    ckpt = (checkpoint_partials if checkpoint_partials is not None
+            else not first and n_docs >= 2_000_000)
+
+    def finish(p: str, sort_keys: list[str]) -> dict:
+        sizes = _compact_shard_dir(p, sort_keys)
+        for s in range(n_shards):  # every shard dir exists, touched or not
+            os.makedirs(os.path.join(p, f"shard={s}"), exist_ok=True)
+        return sizes
+
+    sizes: dict = {}
+
+    def segments() -> None:
+        # optionally as TWO checkpointed stages: (a) the partial posting
+        # runs stream to a parquet checkpoint; (b) the (term, salt) sort +
+        # run merge + sharded write reads ONLY the partials, so a crash in
+        # the merge resumes without re-reading the docs. The checkpoint
+        # costs one extra write+read — by default ON past 2M docs in a
+        # build, OFF below and in generations and compactions.
+        if "segments" in st:  # resume: the shard sizes only
+            sizes.update(finish(root.segments_dir, ["term", "salt"]))
+            return
+        partials = tok_ds.map_batches(
+            make_partial_segments(hot, salt_shift), batch_format="pyarrow",
+            batch_size=max(batch_size, 1024),
+        )
+        if ckpt:
+            st.write_dir("posting_partials", root.partials_dir,
+                         lambda p: partials.write_parquet(
+                             p, min_rows_per_file=16384))
+            if _fail_after == "posting_partials":
+                raise RuntimeError(
+                    "injected failure after posting_partials stage (test hook)"
+                )
+            partials = rd.read_parquet(root.partials_dir)
+
+        def write(p: str) -> None:
+            partials.sort(["term", "salt"]).map_batches(
+                make_segment_merger(n_shards), batch_format="pyarrow"
+            ).write_parquet(p, partition_cols=["shard"])
+            sizes.update(finish(p, ["term", "salt"]))
+
+        st.write_dir("segments", root.segments_dir, write)
+
+    def ngrams() -> None:
+        # content n-gram index: the same partial -> (gram, salt) shuffle ->
+        # merge shape as the term segments; doc ids only
+        def write(p: str) -> None:
+            rd.read_parquet(root.docs_dir, columns=["doc_id", "content"]) \
+                .map_batches(make_ngram_partials(salt_shift),
+                             batch_format="pyarrow", batch_size=batch_size) \
+                .sort(["gram", "salt"]) \
+                .map_batches(make_ngram_merger(n_shards),
+                             batch_format="pyarrow") \
+                .write_parquet(p, partition_cols=["shard"])
+            finish(p, ["gram", "salt"])
+
+        st.write_dir("ngrams", root.ngrams_dir, write)
+
+    # a given layout (generation, compaction) runs every job at once
+    res = _concurrently(*first, segments, *([ngrams] if ngram_index else []))
+    if first:
+        n_docs, sum_dl = res[0]
+    # once the segments stage is done the checkpoint has served its
+    # purpose; a resume after it must not ship it into the final index
+    if os.path.exists(root.partials_dir):
+        shutil.rmtree(root.partials_dir)
+    if _fail_after == "segments":
+        raise RuntimeError("injected failure after segments stage (test hook)")
+
+    # skew / partition-size evidence (SURVEY.md §5 "Skew")
+    rows = [sizes.get(s, (0, 0))[0] for s in range(n_shards)]
+    return dict(
+        n_docs=n_docs, sum_dl=sum_dl, hot=hot, salt_shift=salt_shift,
+        metrics=dict(
+            n_terms=sum(rows), max_shard_rows=max(rows),
+            min_shard_rows=min(rows) if sum(rows) else 0,
+            max_df=max((df for _, df in sizes.values()), default=0),
+            n_hot_terms=len(hot),
+        ),
+    )
+
+
+def _write_json(path: str, obj: dict) -> None:
+    with open(path, "w") as f:
+        json.dump(obj, f)
+
+
+def _corpus_docs(corpus, batch_size: int):
+    """Docs writer of a full build: guard, dense ids in key order, then
+    ONE streaming consume of the tokenize pipeline straight to parquet
+    (downstream stages re-read it with column pruning — content never
+    moves again)."""
+
+    def write(st: _Stages, part: str) -> None:
+        ds = _as_dataset(corpus).map_batches(
+            guard_batch, batch_format="pyarrow", batch_size=batch_size
+        )
+        with st.timed("guard_ids"):  # guard + id-assignment materialize
+            ds = assign_doc_ids(ds)
+        ds.map_batches(
+            tokenize_batch, batch_format="pyarrow", batch_size=batch_size
+        ).write_parquet(part, min_rows_per_file=8192)
+
+    return write
+
+
+def _build(out_dir: str, params: dict, fp: str, listing, write_docs, *,
+           batch_size: int = 256, checkpoint_partials: bool | None = None,
+           last_update: dict | None = None,
+           _fail_after: str | None = None) -> IndexPaths:
+    """Write a one-generation index under ``out_dir.tmp`` and rename it
+    over ``out_dir``: ``write_docs(stages, part_dir)`` writes the docs
+    table, the tail derives the rest. A crashed write leaves the tmp dir
+    with its stage ledger; a rerun with the same fingerprint skips the
+    completed stages."""
+    tmp_root = out_dir + ".tmp"
+    ledger = os.path.join(tmp_root, "stages.json")
+    done: list[str] = []
+    if os.path.exists(tmp_root):
+        try:
+            with open(ledger) as f:
+                rec = json.load(f)
+            done = rec.get("done", []) if rec.get("fingerprint") == fp else None
+        except (OSError, json.JSONDecodeError):
+            done = None
+        if done is None:
+            shutil.rmtree(tmp_root)
+            done = []
+    os.makedirs(tmp_root, exist_ok=True)
+    tmp = IndexPaths(tmp_root)
+    st = _Stages(ledger, fp, done)
+    st.write_dir("docs", tmp.docs_dir, lambda p: write_docs(st, p))
+    if _fail_after == "docs":
+        raise RuntimeError("injected failure after docs stage (test hook)")
+    tail = _write_tail(
+        tmp, st, n_shards=params["n_shards"],
+        ngram_index=params["ngram_index"], batch_size=batch_size,
+        salt_buckets=params["salt_buckets"],
+        hot_threshold_frac=params["hot_threshold_frac"],
+        checkpoint_partials=checkpoint_partials, _fail_after=_fail_after,
+    )
+    n_docs, sum_dl = tail["n_docs"], tail["sum_dl"]
+    metrics = dict(tail["metrics"], stage_sec=st.sec)
+    if last_update is not None:
+        metrics["last_update"] = {
+            "tokenized_docs": n_docs, **last_update,
+            "stage_sec": dict(last_update["stage_sec"], **st.sec),
+        }
+    _write_json(tmp.stats_path, dict(
+        n_docs=int(n_docs), sum_dl=int(sum_dl),
+        avgdl=(sum_dl / n_docs) if n_docs else 0.0,
+        n_shards=params["n_shards"], salt_shift=tail["salt_shift"],
+        hot_terms=sorted(tail["hot"]), has_ngrams=bool(params["ngram_index"]),
+        metrics=metrics,
+    ))
+    _write_json(tmp.manifest_path, dict(
+        fingerprint=fp, params=params, complete=True, corpus_files=listing
+    ))
+    if os.path.exists(ledger):
+        os.remove(ledger)
+    if os.path.exists(out_dir):
+        shutil.rmtree(out_dir)
+    os.rename(tmp_root, out_dir)
+    return IndexPaths(out_dir)
 
 
 def build_index(
@@ -827,10 +1092,13 @@ def build_index(
     """Build the index from a corpus (parquet path/dir or a Dataset).
 
     Resumable: if out_dir holds a manifest with a matching input
-    fingerprint, the completed build is reused. ``ngram_index=True``
-    additionally builds the content char-3-gram index that makes substring
-    candidate generation complete (closes the cross-token-boundary
-    narrowing) and replaces the per-query term-dictionary scan.
+    fingerprint, the completed build is reused, and a crashed build resumes
+    after its last completed stage. ``ngram_index=True`` additionally
+    builds the content char-3-gram index that makes substring candidate
+    generation complete (closes the cross-token-boundary narrowing) and
+    replaces the per-query term-dictionary scan. ``checkpoint_partials``
+    checkpoints the posting partials before the merge shuffle (default:
+    past 2M docs).
     """
     paths = IndexPaths(out_dir)
     params = dict(
@@ -846,316 +1114,22 @@ def build_index(
     # dir mid-build would otherwise be recorded as already-indexed and a
     # later append-only update would silently skip it forever
     listing = _corpus_listing(corpus)
-    if not overwrite and os.path.exists(paths.manifest_path):
-        try:
-            with open(paths.manifest_path) as f:
-                manifest = json.load(f)
-            if manifest.get("fingerprint") == fp and manifest.get("complete"):
-                return paths
-        except (json.JSONDecodeError, OSError):
-            pass
-    # --- stage-level resume: a crashed build leaves out_dir.tmp with a
-    # stage ledger; a rerun with the same fingerprint skips completed
-    # stages (stage outputs are written to .part dirs then renamed, so a
-    # completed stage is always whole) ---
-    tmp_root = out_dir + ".tmp"
-    stages_path = os.path.join(tmp_root, "stages.json")
-    done: set[str] = set()
-    if os.path.exists(tmp_root):
-        try:
-            with open(stages_path) as f:
-                ledger = json.load(f)
-            if ledger.get("fingerprint") == fp:
-                done = set(ledger.get("done", []))
-            else:
-                shutil.rmtree(tmp_root)
-        except (OSError, json.JSONDecodeError):
-            shutil.rmtree(tmp_root)
-    os.makedirs(tmp_root, exist_ok=True)
-    tmp = IndexPaths(tmp_root)
-
-    def mark(stage: str) -> None:
-        done.add(stage)
-        with open(stages_path, "w") as f:
-            json.dump(dict(fingerprint=fp, done=sorted(done)), f)
-
-    stage_sec: dict[str, float] = {}
-
-    def staged_write(pipeline_writer, final_dir: str) -> None:
-        part = final_dir + ".part"
-        if os.path.exists(part):
-            shutil.rmtree(part)
-        pipeline_writer(part)
-        # a zero-row pipeline writes no directory at all — an empty corpus
-        # must still produce a well-formed (empty) index
-        os.makedirs(part, exist_ok=True)
-        os.rename(part, final_dir)
-
-    def timed(stage: str):
-        import contextlib
-        import time as _t
-
-        @contextlib.contextmanager
-        def cm():
-            t0 = _t.time()
-            yield
-            stage_sec[stage] = round(_t.time() - t0, 3)
-
-        return cm()
-
-    if "docs" not in done:
-        ds = read_corpus(corpus) if isinstance(corpus, str) else corpus
-        ds = ds.map_batches(guard_batch, batch_format="pyarrow", batch_size=batch_size)
-        with timed("guard_ids"):  # guard + id-assignment materialize
-            ds = assign_doc_ids(ds)
-
-        # docs table: ONE streaming consume of the tokenize pipeline straight
-        # to parquet (no full materialization in the object store);
-        # downstream stages re-read it with column pruning (tokens only —
-        # content never moves again)
-        docs_pipe = ds.map_batches(
-            tokenize_batch, batch_format="pyarrow", batch_size=batch_size
-        )
-        if os.path.exists(tmp.docs_dir):
-            shutil.rmtree(tmp.docs_dir)
-        with timed("docs"):
-            staged_write(
-                lambda p: docs_pipe.write_parquet(p, min_rows_per_file=8192),
-                tmp.docs_dir,
-            )
-        mark("docs")
-
-    if _fail_after == "docs":
-        raise RuntimeError("injected failure after docs stage (test hook)")
-
-    # EMPTY corpus: a zero-row docs stage writes no parquet files. Finish
-    # a well-formed empty index directly (padded doc_lens, empty shard
-    # dirs, n_docs=0 stats) — every downstream read_parquet would otherwise
-    # choke on the file-less docs dir.
-    if not any(
-        f.endswith(".parquet") for f in os.listdir(tmp.docs_dir)
-    ):
-        np.save(tmp.doc_lens_path, np.zeros(1, dtype="<i4"))
-        os.makedirs(tmp.keys_dir, exist_ok=True)
-        for d in [tmp.segments_dir] + ([tmp.ngrams_dir] if ngram_index else []):
-            for s in range(n_shards):
-                os.makedirs(os.path.join(d, f"shard={s}"), exist_ok=True)
-        with open(tmp.stats_path, "w") as f:
-            json.dump(
-                dict(n_docs=0, sum_dl=0, avgdl=0.0, n_shards=n_shards,
-                     salt_shift=63, hot_terms=[],
-                     has_ngrams=bool(ngram_index),
-                     metrics={"stage_sec": stage_sec}),
-                f,
-            )
-        with open(tmp.manifest_path, "w") as f:
-            json.dump(dict(fingerprint=fp, params=params, complete=True,
-                      corpus_files=listing), f)
-        if os.path.exists(stages_path):
-            os.remove(stages_path)
-        if os.path.exists(out_dir):
-            shutil.rmtree(out_dir)
-        os.rename(tmp_root, out_dir)
+    manifest = _read_manifest(paths)
+    if not overwrite and manifest.get("complete") \
+            and manifest.get("fingerprint") == fp:
         return paths
+    return _build(out_dir, params, fp, listing,
+                  _corpus_docs(corpus, batch_size), batch_size=batch_size,
+                  checkpoint_partials=checkpoint_partials,
+                  _fail_after=_fail_after)
 
-    # narrow key/sha side table: update_index's change diff reads THIS
-    # instead of re-opening every (wide) docs parquet file
-    if "keys" not in done:
-        keys_pipe = rd.read_parquet(
-            tmp.docs_dir,
-            columns=["repo", "path", "commit", "content_sha256"],
-        )
-        if os.path.exists(tmp.keys_dir):
-            shutil.rmtree(tmp.keys_dir)
-        with timed("keys"):
-            staged_write(
-                lambda p: keys_pipe.write_parquet(
-                    p, min_rows_per_file=131072
-                ),
-                tmp.keys_dir,
-            )
-        mark("keys")
 
-    # ONE narrow (doc_id, doc_len) scan feeds BOTH the corpus stats and the
-    # dense doc-length attribute file (memory-mapped at query time: doc-len
-    # lookups page in on demand instead of pinning 4 B/doc of driver heap —
-    # the doc-attribute store a cluster deployment puts on shared storage).
-    # The array is built SHARDED: Ray tasks write one raw slice per doc-id
-    # range and the driver stream-concatenates bytes under a single npy
-    # header, so neither np.zeros(n_docs) nor a (doc_id, doc_len) pull ever
-    # lands on the driver — the build side now scales past 1e9 docs like
-    # the query side.
-    ds_len = rd.read_parquet(tmp.docs_dir, columns=["doc_id", "doc_len"])
-    if os.path.exists(tmp.doc_lens_path):
-        # resume with the attribute file already finalized: only the two
-        # scalars are needed
-        n_docs = int(ds_len.count())
-        sum_dl = int(ds_len.sum("doc_len") or 0)
-    else:
-        n_docs, sum_dl = _write_doc_lens_sharded(ds_len, tmp.doc_lens_path)
-    avgdl = (sum_dl / n_docs) if n_docs else 0.0
-
-    tok_ds = rd.read_parquet(
-        tmp.docs_dir,
-        columns=["doc_id", "tokens", "n_content_tokens", "shadow_tokens"],
-    )
-
-    # hot terms for the salted shuffle (sampled from the tokens column)
-    hot = sample_hot_terms(tok_ds, hot_threshold_frac)
-    salt_shift = 63
-    if n_docs > 0 and salt_buckets > 1:
-        salt_shift = max(0, int(n_docs).bit_length() - int(salt_buckets).bit_length())
-
-    # segments — optionally as TWO checkpointed stages (the north rule's
-    # "checkpointed segment merges"): (a) the tokenized-docs re-read +
-    # per-batch partial posting encode streams to a partials parquet
-    # checkpoint; (b) the (term, salt) sort + sorted-run merge + sharded
-    # write reads ONLY the partials, so a crash in the merge resumes
-    # without re-encoding postings. The checkpoint costs one extra
-    # write+read of the partials (~+25% build wall at bench scale), which
-    # only pays for itself when a stage retry is expensive — default: auto
-    # ON past 2M docs (the hour-scale builds that actually crash), OFF
-    # below (the partial encode streams fused into the sort).
-    if checkpoint_partials is None:
-        checkpoint_partials = n_docs >= 2_000_000
-    partial = make_partial_segments(hot, salt_shift)
-    if checkpoint_partials:
-        if "posting_partials" not in done:
-            partials_pipe = tok_ds.map_batches(
-                partial, batch_format="pyarrow", batch_size=max(batch_size, 1024)
-            )
-            if os.path.exists(tmp.partials_dir):
-                shutil.rmtree(tmp.partials_dir)
-            with timed("posting_partials"):
-                staged_write(
-                    lambda p: partials_pipe.write_parquet(
-                        p, min_rows_per_file=16384
-                    ),
-                    tmp.partials_dir,
-                )
-            mark("posting_partials")
-
-        if _fail_after == "posting_partials":
-            raise RuntimeError(
-                "injected failure after posting_partials stage (test hook)"
-            )
-        # the checkpoint dir is deleted once the segments stage completes:
-        # only open it when the merge still has to run (a resume AFTER the
-        # segments stage must not touch it)
-        partials_ds = (
-            rd.read_parquet(tmp.partials_dir)
-            if "segments" not in done
-            else None
-        )
-    else:
-        partials_ds = tok_ds.map_batches(
-            partial, batch_format="pyarrow", batch_size=max(batch_size, 1024)
-        )
-
-    if "segments" not in done:
-        merger = make_segment_merger(n_shards)
-        segments = partials_ds.sort(["term", "salt"]).map_batches(
-            merger, batch_format="pyarrow"
-        )
-        if os.path.exists(tmp.segments_dir):
-            shutil.rmtree(tmp.segments_dir)
-        def write_segments(p):
-            segments.write_parquet(p, partition_cols=["shard"])
-            _compact_shard_dir(p, ["term", "salt"])
-
-        with timed("segments"):
-            staged_write(write_segments, tmp.segments_dir)
-        mark("segments")
-
-    # once the segments stage is done the checkpoint has served its
-    # purpose; delete it UNCONDITIONALLY (a crash between mark() and this
-    # cleanup must not ship the partials into the final index on resume)
-    if "segments" in done and os.path.exists(tmp.partials_dir):
-        shutil.rmtree(tmp.partials_dir)
-
-    if _fail_after == "segments":
-        raise RuntimeError("injected failure after segments stage (test hook)")
-
-    # optional content n-gram index: same partial-encode -> (gram, salt)
-    # shuffle -> merge shape as the term segments; doc ids only
-    if ngram_index and "ngrams" not in done:
-        gram_partials = rd.read_parquet(
-            tmp.docs_dir, columns=["doc_id", "content"]
-        ).map_batches(
-            make_ngram_partials(salt_shift),
-            batch_format="pyarrow",
-            batch_size=batch_size,
-        )
-        ngrams = gram_partials.sort(["gram", "salt"]).map_batches(
-            make_ngram_merger(n_shards), batch_format="pyarrow"
-        )
-        if os.path.exists(tmp.ngrams_dir):
-            shutil.rmtree(tmp.ngrams_dir)
-        def write_ngrams(p):
-            ngrams.write_parquet(p, partition_cols=["shard"])
-            _compact_shard_dir(p, ["gram", "salt"])
-
-        with timed("ngrams"):
-            staged_write(write_ngrams, tmp.ngrams_dir)
-        mark("ngrams")
-
-    # build metrics: skew / partition-size evidence (SURVEY.md §5 "Skew":
-    # log()-style metrics on max partition size) + per-shard layout
-    metrics: dict = {}
+def _read_manifest(paths: IndexPaths) -> dict:
     try:
-        # ONE narrow pass over (shard, df) computes every skew metric —
-        # no groupby shuffle, no second max() job
-        seg_refs = rd.read_parquet(
-            tmp.segments_dir, columns=["shard", "df"]
-        ).to_arrow_refs()
-        n_terms = 0
-        max_df = 0
-        shard_counts = np.zeros(n_shards, dtype=np.int64)
-        for r in seg_refs:
-            t = ray.get(r)
-            if not t.num_rows:
-                continue
-            n_terms += t.num_rows
-            max_df = max(max_df, int(t.column("df").to_numpy().max()))
-            shard_counts += np.bincount(
-                t.column("shard").to_numpy().astype(np.int64),
-                minlength=n_shards,
-            )
-        metrics = dict(
-            n_terms=n_terms,
-            max_shard_rows=int(shard_counts.max()) if n_terms else 0,
-            min_shard_rows=int(shard_counts.min()) if n_terms else 0,
-            max_df=max_df,
-            n_hot_terms=len(hot),
-        )
-    except Exception:  # metrics are best-effort observability
-        pass
-    metrics["stage_sec"] = stage_sec  # per-stage wall (scaling evidence)
-
-    with open(tmp.stats_path, "w") as f:
-        json.dump(
-            dict(
-                n_docs=int(n_docs),
-                sum_dl=int(sum_dl),
-                avgdl=float(avgdl),
-                n_shards=n_shards,
-                salt_shift=salt_shift,
-                hot_terms=sorted(hot),
-                has_ngrams=bool(ngram_index),
-                metrics=metrics,
-            ),
-            f,
-        )
-    with open(tmp.manifest_path, "w") as f:
-        json.dump(dict(fingerprint=fp, params=params, complete=True,
-                      corpus_files=listing), f)
-    if os.path.exists(stages_path):
-        os.remove(stages_path)
-
-    if os.path.exists(out_dir):
-        shutil.rmtree(out_dir)
-    os.rename(tmp_root, out_dir)
-    return paths
+        with open(paths.manifest_path) as f:
+            return json.load(f)
+    except (OSError, json.JSONDecodeError):
+        return {}
 
 
 # ---------------------------------------------------------------------------
@@ -1170,37 +1144,31 @@ _APPEND_DRIVER_KEYS_MAX = 2_000_000
 
 def _append_only_added(
     paths: "IndexPaths", new_files: list[str]
-) -> tuple[str, list[tuple[str, str, str]] | None]:
+) -> tuple[str, list[str] | None]:
     """Resolve the added-doc set when every previously-indexed corpus file
     is proven byte-identical (append-only update): guard ONLY the new
     parquet files, pull their narrow keys to the driver (bounded by the
     delta, capped at _APPEND_DRIVER_KEYS_MAX), and probe the stored key
     side table for triple collisions with ONE broadcast map over it.
 
-    Returns (mode, added): mode "ok" with the sorted added triples,
-    "rebuild" when a collision carries conflicting content (a changed doc
-    in disguise, or a duplicate triple), or "fallback" when the fast path
-    cannot decide (no key side table yet, or the delta exceeds the driver
-    cap) and the generic shuffle diff must run."""
+    Returns (mode, added): mode "ok" with the added keys (\x00-joined),
+    "full" when the corpus carries null keys or a duplicate triple (a
+    collision with conflicting content is one: the old row is still in its
+    untouched file), or "fallback" when the fast path cannot decide (no key
+    side table yet, or the delta exceeds the driver cap) and the generic
+    shuffle diff must run."""
     if not new_files:
         return "ok", []
     # delta-size guard from parquet FOOTERS (no data read)
-    import pyarrow.parquet as _pq
-
     n_delta = 0
     for f in new_files:
         try:
-            n_delta += _pq.ParquetFile(f).metadata.num_rows
+            n_delta += pq.ParquetFile(f).metadata.num_rows
         except Exception:
             return "fallback", None
     if n_delta > _APPEND_DRIVER_KEYS_MAX:
         return "fallback", None
-    key_files = [
-        os.path.join(d, f)
-        for d in paths.keys_dirs()
-        for f in (sorted(os.listdir(d)) if os.path.isdir(d) else [])
-        if f.endswith(".parquet")
-    ]
+    key_files = _parquet_files(paths.keys_dirs())
     if not all(os.path.isdir(d) for d in paths.keys_dirs()):
         return "fallback", None  # pre-side-table index (or older gen)
 
@@ -1236,7 +1204,7 @@ def _append_only_added(
     if any(
         c_tbl.column(c).null_count for c in ("repo", "path", "commit")
     ):
-        return "rebuild", None  # null keys: let the full path reject them
+        return "full", None  # null keys: let the full path reject them
     repo = c_tbl.column("repo").to_numpy(zero_copy_only=False)
     path_ = c_tbl.column("path").to_numpy(zero_copy_only=False)
     com = c_tbl.column("commit").to_numpy(zero_copy_only=False)
@@ -1254,13 +1222,13 @@ def _append_only_added(
         # both physical rows and assign them the same doc id, corrupting
         # the generation's doc_lens slice — route through the rebuild,
         # same as the conflicting-content duplicate
-        return "rebuild", None
+        return "full", None
     k3_of4 = k3[first4]
     uniq3, c3_counts = np.unique(k3_of4, return_counts=True)
     if (c3_counts > 1).any():
         # one triple, several distinct contents: duplicate primary keys —
         # the generic path routes this through a full rebuild too
-        return "rebuild", None
+        return "full", None
     sha_of3 = {k: s for k, s in zip(k3_of4, sha[first4])}
     if uniq3.size == 0:
         # every delta row was guarded away (NUL / oversized content):
@@ -1272,20 +1240,13 @@ def _append_only_added(
     probe_ref = ray.put(np.sort(uniq3))
 
     def collide(batch: pa.Table) -> pa.Table:
-        ks = ray.get(probe_ref)
-        bk = pc.binary_join_element_wise(
-            pc.cast(batch.column("repo"), pa.string()).combine_chunks(),
-            pc.cast(batch.column("path"), pa.string()).combine_chunks(),
-            pc.cast(batch.column("commit"), pa.string()).combine_chunks(),
-            pa.scalar("\x00"),
-        ).to_numpy(zero_copy_only=False)
-        pos = np.searchsorted(ks, bk)
-        mask = (pos < len(ks)) & (ks[np.minimum(pos, len(ks) - 1)] == bk)
+        bk = _triple_keys(batch)
+        mask = pa.array(_member(ray.get(probe_ref), bk))
         return pa.table({
-            "k3": pa.array(bk[mask], pa.string()),
+            "k3": pa.array(bk, pa.string()).filter(mask),
             "sha": pc.cast(
                 batch.column("content_sha256"), pa.string()
-            ).filter(pa.array(mask)),
+            ).filter(mask),
         })
 
     coll_parts = [
@@ -1305,97 +1266,250 @@ def _append_only_added(
         ):
             if sha_of3.get(k) != s:
                 # the triple exists with DIFFERENT content: a change
-                return "rebuild", None
+                return "full", None
             collided.add(k)  # identical re-add: 'same', skip
-    added = sorted(
-        tuple(k.split("\x00", 2)) for k in uniq3 if k not in collided
+    return "ok", [k for k in uniq3 if k not in collided]
+
+def _parquet_files(dirs: list[str]) -> list[str]:
+    return [
+        os.path.join(d, f)
+        for d in dirs if os.path.isdir(d)
+        for f in sorted(os.listdir(d)) if f.endswith(".parquet")
+    ]
+
+
+#: columns tokenize_batch and the id stage add to the corpus columns, in
+#: docs-table order
+_DERIVED_COLS = ["content_sha256", "doc_id", "tokens", "shadow_tokens",
+                 "n_content_tokens", "doc_len", "path_tokens", "is_test"]
+
+
+def _diff_keys(corpus, old_files: list[str],
+               batch_size: int) -> list[dict]:
+    """Generic change diff: a narrow tagged union of (repo, path, commit,
+    sha) keys from the key side table (or the pruned docs parquet for
+    pre-side-table indexes) and from the freshly guarded corpus, classified
+    per key in one sort. Only the non-'same' keys reach the driver, each
+    with status added / removed / changed, or full (null keys, or a triple
+    carried by several rows that are not all unchanged)."""
+
+    # the corpus/doc-id identity is the FULL (repo, path, commit) triple
+    # (assign_doc_ids sorts all three); the sha decides same-vs-changed
+    # per triple
+    def tag(src):
+        def run(batch: pa.Table) -> pa.Table:
+            return pa.table({
+                "repo": pc.cast(batch.column("repo"), pa.string()),
+                "path": pc.cast(batch.column("path"), pa.string()),
+                "commit": pc.cast(batch.column("commit"), pa.string()),
+                "sha": pc.cast(batch.column("content_sha256"), pa.string()),
+                "src": pa.array([src] * len(batch), pa.string()),
+            })
+        return run
+
+    new_ds = _as_dataset(corpus)
+    # the diff's guard pass only feeds narrow key rows, so large batches
+    # are safe and cut task-dispatch overhead
+    tagged_keys = new_ds.map_batches(
+        guard_batch, batch_format="pyarrow",
+        batch_size=max(batch_size, 4096),
+    ).map_batches(tag("new"), batch_format="pyarrow")
+    if old_files:  # an empty base has no docs files: every triple is new
+        tagged_keys = rd.read_parquet(
+            old_files, columns=["repo", "path", "commit", "content_sha256"],
+        ).map_batches(tag("old"), batch_format="pyarrow").union(tagged_keys)
+
+    # classify keys VECTORIZED once per block of the key-hash sort: the
+    # sort range-partitions, so every (repo, path, commit) key's rows
+    # share one block, and each block resolves all its keys with one
+    # np.unique pass (a per-key map_groups would make one Python call PER
+    # FILE)
+    def add_key_hash(batch: pa.Table) -> pa.Table:
+        # the hashed key must be NUL-FREE: pandas' siphash truncates object
+        # strings at \x00 on the multi-element path but not the 1-element
+        # path, so the same key can get different hashes depending on
+        # batch shape (observed; classify would then see one side only
+        # and report phantom added+removed pairs). \x1f keeps (repo, path)
+        # joined unambiguously for dispersion; exactness lives in classify.
+        key = pd.Series(
+            pc.replace_substring(
+                pc.binary_join_element_wise(
+                    batch.column("repo").combine_chunks(),
+                    batch.column("path").combine_chunks(),
+                    batch.column("commit").combine_chunks(),
+                    pa.scalar("\x1f"),
+                ),
+                pattern="\x00", replacement="\x1f",
+            ).to_pandas()
+        )
+        kh = pd.util.hash_pandas_object(key, index=False).to_numpy()
+        return batch.append_column(
+            "kh", pa.array(kh.view(np.int64), pa.int64())
+        )
+
+    def classify_part(g: pd.DataFrame) -> pd.DataFrame:
+        empty = pd.DataFrame({
+            c: pd.Series([], dtype="string")
+            for c in ("repo", "path", "commit", "status")
+        })
+        if not len(g):
+            return empty
+        # null-keyed rows must not vanish from the diff (the update would
+        # stamp the new fingerprint without ever seeing them)
+        nul = g["repo"].isna() | g["path"].isna() | g["commit"].isna()
+        extra = None
+        if nul.any():
+            extra = pd.DataFrame({"repo": [""], "path": [""], "commit": [""],
+                                  "status": ["full"]})
+            g = g[~nul]
+            if not len(g):
+                return extra
+        sep = "\x00"
+        k3 = (
+            g["repo"].astype(str) + sep + g["path"].astype(str) + sep
+            + g["commit"].astype(str)
+        ).to_numpy()
+        k4 = k3 + sep + g["sha"].astype(str).to_numpy()
+        uniq4, first4, inv4 = np.unique(
+            k4, return_index=True, return_inverse=True
+        )
+        is_new = (g["src"].to_numpy() == "new")
+        old_counts = np.bincount(inv4[~is_new], minlength=len(uniq4))
+        new_counts = np.bincount(inv4[is_new], minlength=len(uniq4))
+        has_old, has_new = old_counts > 0, new_counts > 0
+        _, first3, inv3 = np.unique(
+            k3[first4], return_index=True, return_inverse=True
+        )
+        k = first3.size
+        n_old = np.bincount(inv3[has_old], minlength=k)
+        n_new = np.bincount(inv3[has_new], minlength=k)
+        both = np.bincount(inv3[has_old & has_new], minlength=k)
+        # several physical rows of one (key, sha), or several shas of one
+        # key, on either side: the rows would share one doc id
+        dup = (n_old > 1) | (n_new > 1) | (np.bincount(
+            inv3[(old_counts > 1) | (new_counts > 1)], minlength=k) > 0)
+        keep = ~((n_old == both) & (n_new == both))  # not 'same'
+        if not keep.any():
+            return empty if extra is None else extra
+        status = np.where(
+            dup, "full",
+            np.where(n_old == 0, "added",
+                     np.where(n_new == 0, "removed", "changed")),
+        )[keep]
+        rows = g.iloc[first4[first3[keep]]]
+        out = pd.DataFrame({
+            "repo": rows["repo"].to_numpy(),
+            "path": rows["path"].to_numpy(),
+            "commit": rows["commit"].to_numpy(),
+            "status": status,
+        })
+        return out if extra is None else pd.concat(
+            [out, extra], ignore_index=True
+        )
+
+    return (
+        tagged_keys
+        .map_batches(add_key_hash, batch_format="pyarrow")
+        .sort("kh")
+        .map_batches(classify_part, batch_format="pandas", batch_size=None)
+        .take_all()
     )
-    return "ok", added
+
 
 def update_index(corpus, out_dir: str, *, batch_size: int = 256,
-                 _retries: int = 4) -> IndexPaths:
+                 _retries: int = 4,
+                 _fail_after: str | None = None) -> IndexPaths:
     """Incrementally update an existing index to match ``corpus``.
 
     The reference has no persistent index (probe re-scans per query); this
-    is the engine's own index-maintenance path, following the standard
-    segment-append design:
+    is the engine's own index-maintenance path. A change diff classifies
+    every (repo, path, commit) key as same, added, changed or removed, and
+    the update takes one of three paths, recorded as ``mode`` in
+    ``stats.json["metrics"]["last_update"]`` with ``reused_docs``,
+    ``tokenized_docs`` and ``stage_sec`` (diff included):
 
-    - **additions only** (new (repo, path, commit) keys — the full doc
-      identity triple, so a new commit of an existing path is an addition
-      even when its content sha is unchanged; every existing doc's sha256
-      unchanged): the new docs are tokenized and committed as a new
+    - **append** (added keys only — the full doc identity triple, so a new
+      commit of an existing path is an addition even when its content sha
+      is unchanged): the new docs are tokenized and committed as a new
       GENERATION ``updates/gen-K/`` holding their docs files, one
       compacted posting-segment file per shard (same term-hash shards and
-      hot-term salt scheme as the base build), a doc_lens slice, and a
-      full stats.json snapshot. The atomic ``gen-K.tmp -> gen-K`` rename
-      is the commit point — a crash before it leaves the index exactly as
-      it was (the stale .tmp is swept on the next update), a crash after
-      it is a completed update (the base manifest fingerprint is repaired
-      idempotently on the next call). Every query-path reader (postings,
-      term bounds, skip-probe, candidate fetch, doc-length attribute)
-      already merges multiple segment rows per (term, salt), so appended
-      generations need no read-side migration.
-    - **any change or removal** (sha mismatch or key gone): falls back to
-      a full rebuild. Probe's semantics are a corpus snapshot; serving
-      tombstones would tax every query for a rare event.
-    - **ngram-indexed builds** append a gram-segment generation the same
-      way (the gram reader already merges multi-row grams).
+      hot-term salt scheme as the base build), a doc_lens slice, a key
+      side table and a full stats.json snapshot; ngram-indexed builds
+      append a gram-segment generation the same way. The atomic
+      ``gen-K.tmp -> gen-K`` rename is the commit point — a crash before
+      it leaves the index exactly as it was (the stale .tmp is swept on
+      the next update), a crash after it is a completed update (the base
+      manifest fingerprint is repaired idempotently on the next call).
+      Every query-path reader already merges multiple segment rows per
+      (term, salt), so generations need no read-side migration.
+      Doc ids of the added files continue from n_docs in key order WITHIN
+      the generation — segment-append order, like Lucene doc ids.
+      DEVIATION (documented, append generations only): a fresh build of
+      the same corpus interleaves ids globally, so score-TIE ordering can
+      differ from it; scores and result sets are identical.
+    - **renumber** (any changed or removed key): a one-generation rebuild
+      whose docs table is the stored rows of every unchanged key (all
+      generations) plus the corpus rows of the changed and added keys,
+      which alone are guarded and tokenized. Doc ids are reassigned from
+      the sorted key list exactly as ``assign_doc_ids`` does, so ids,
+      stats and every score equal a fresh build's. It commits like
+      ``build_index`` (``out_dir.tmp -> out_dir`` rename, resumable stage
+      ledger): a crash before the rename leaves the old index serving.
+    - **full** ``build_index`` from the corpus: no or incomplete manifest,
+      a docs schema version mismatch, null keys, a triple carried by
+      several rows, corpus columns that differ from the stored docs', or
+      more keys than the driver sorts (``DRIVER_KEY_SORT_MAX``).
 
-    Doc ids for added files continue from n_docs in (repo, path, commit)
-    order WITHIN the update batch — segment-append order, exactly like
-    Lucene doc ids. DEVIATION (documented): a fresh full build of the
-    same corpus would interleave ids globally, so score-TIE ordering can
-    differ between an updated index and a from-scratch build; scores and
-    result sets are identical.
-
-    The change diff runs at two speeds:
+    The diff runs at two speeds:
 
     - **append-only fast path**: when the manifest's per-corpus-file
       (size, mtime_ns) records prove every previously-indexed parquet
       file untouched, only the NEW files are guarded and their keys are
       collision-probed against the stored key side table with one
-      broadcast map — diff cost scales with the delta (no full-corpus
-      guard, no key shuffle). Driver state is the delta's keys, capped at
-      ``_APPEND_DRIVER_KEYS_MAX``.
-    - **generic diff**: a narrow tagged-union groupby over
-      (repo, path, commit) keys from the key side table (or the pruned
-      docs parquet for pre-side-table indexes) vs the freshly guarded
-      corpus — only the CHANGED key lists ever reach the driver.
+      broadcast map — diff cost scales with the delta. Driver state is the
+      delta's keys, capped at ``_APPEND_DRIVER_KEYS_MAX``.
+    - **generic diff** (``_diff_keys``): one sort over the narrow keys of
+      the key side table and the freshly guarded corpus; only the
+      non-same keys reach the driver.
     """
     paths = IndexPaths(out_dir)
-    if not os.path.exists(paths.manifest_path):
-        return build_index(corpus, out_dir, overwrite=True)
-    try:
-        with open(paths.manifest_path) as f:
-            manifest = json.load(f)
-    except (OSError, json.JSONDecodeError):
-        manifest = {}
-    if not manifest.get("complete"):
-        return build_index(corpus, out_dir, overwrite=True)
-    stats = paths.stats()
-    n_shards = int(stats["n_shards"])
-    params = manifest.get("params", {})
+    manifest = _read_manifest(paths)
+    complete = bool(manifest.get("complete"))
+    stats = paths.stats() if complete else {}
+    old = manifest.get("params", {})
+    # every knob of the original build carries over (dropping ngram_index
+    # would silently lose the substring index)
+    params = dict(
+        n_shards=int(old.get("n_shards", stats.get("n_shards", 16))),
+        salt_buckets=int(old.get("salt_buckets", 8)),
+        hot_threshold_frac=float(old.get("hot_threshold_frac", 0.05)),
+        ngram_index=bool(old.get("ngram_index", stats.get("has_ngrams"))),
+        schema_version=DOCS_SCHEMA_VERSION,
+    )
     fp = _fingerprint(corpus, params)
-    if manifest.get("fingerprint") == fp:
+    listing = _corpus_listing(corpus)  # same moment as the fingerprint
+    if complete and manifest.get("fingerprint") == fp:
         return paths  # already at this corpus
+
+    st = _Stages()  # this update's stage times, the diff's included
+
+    def rebuild(write_docs, **last_update) -> IndexPaths:
+        return _build(out_dir, params, fp, listing, write_docs,
+                      batch_size=batch_size, _fail_after=_fail_after,
+                      last_update=dict(last_update, stage_sec=st.sec))
+
+    def full() -> IndexPaths:
+        return rebuild(_corpus_docs(corpus, batch_size), mode="full",
+                       reused_docs=0)
+
+    if not complete or old.get("schema_version") != DOCS_SCHEMA_VERSION:
+        return full()
 
     # sweep stale uncommitted generations (crash leftovers)
     if os.path.isdir(paths.updates_dir):
         for g in os.listdir(paths.updates_dir):
             if g.endswith(".tmp"):
                 shutil.rmtree(os.path.join(paths.updates_dir, g))
-
-    import time as _time
-
-    stage_sec: dict[str, float] = {}
-    _t0 = _time.time()
-
-    def _mark_stage(name: str) -> None:
-        nonlocal _t0
-        stage_sec[name] = round(_time.time() - _t0, 3)
-        _t0 = _time.time()
-
-    listing = _corpus_listing(corpus)
 
     # ---- append-only fast path ------------------------------------------
     # The dominant incremental shape is "new parquet files appended to an
@@ -1404,9 +1518,8 @@ def update_index(corpus, out_dir: str, *, batch_size: int = 256,
     # is byte-identical, so no old key can be removed or changed except by
     # key COLLISION from a new file — the whole diff reduces to guarding
     # only the NEW files and one broadcast collision probe against the
-    # stored key side table. No full-corpus guard, no key shuffle: the
-    # diff cost scales with the DELTA, which is the point of an update.
-    added: list[tuple[str, str, str]] | None = None
+    # stored key side table.
+    added: list[str] | None = None  # \x00-joined keys
     new_files_only: list[str] | None = None
     recorded = manifest.get("corpus_files")
     if listing is not None and recorded is not None and all(
@@ -1414,210 +1527,34 @@ def update_index(corpus, out_dir: str, *, batch_size: int = 256,
     ):
         fresh = sorted(set(listing) - set(recorded))
         new_files_only = [os.path.join(corpus, f) for f in fresh]
-        mode, fast_added = _append_only_added(paths, new_files_only)
-        if mode == "rebuild":
-            return build_index(
-                corpus, out_dir, overwrite=True,
-                n_shards=int(params.get("n_shards", n_shards)),
-                salt_buckets=int(params.get("salt_buckets", 8)),
-                hot_threshold_frac=float(
-                    params.get("hot_threshold_frac", 0.05)
-                ),
-                ngram_index=bool(params.get("ngram_index",
-                                            stats.get("has_ngrams"))),
-            )
+        with st.timed("diff_append_only"):
+            mode, fast_added = _append_only_added(paths, new_files_only)
+        if mode == "full":
+            return full()
         if mode == "ok":
             added = fast_added
-            _mark_stage("diff_append_only")
         else:  # "fallback": no key side table / delta too large
             new_files_only = None
 
     if added is None:
-        # -- generic narrow diff: (repo, path, commit, sha, src) tagged union --
-        # Runs when the append-only fast path above could not decide. The
-        # corpus/doc-id identity is the FULL (repo, path, commit) triple
-        # (assign_doc_ids sorts all three); keying the diff on (repo, path)
-        # alone would give two commits of one path the same doc id and would
-        # classify a new commit with an unchanged sha as 'same' (never
-        # indexed). The sha still decides same-vs-changed PER triple.
-        def tag(src):
-            def run(batch: pa.Table) -> pa.Table:
-                return pa.table({
-                    "repo": pc.cast(batch.column("repo"), pa.string()),
-                    "path": pc.cast(batch.column("path"), pa.string()),
-                    "commit": pc.cast(batch.column("commit"), pa.string()),
-                    "sha": pc.cast(batch.column("content_sha256"), pa.string()),
-                    "src": pa.array([src] * len(batch), pa.string()),
-                })
-            return run
-
-        # old-side keys come from the NARROW key/sha side table written at
-        # build/update time (base keys/ + one per generation) — the wide docs
-        # parquet is never re-opened for the diff; pre-side-table indexes
-        # (or a gen written by an older version) fall back to the pruned docs
-        # read
-        def _parquet_files(dirs: list[str]) -> list[str]:
-            return [
-                os.path.join(d, f)
-                for d in dirs if os.path.isdir(d)
-                for f in sorted(os.listdir(d)) if f.endswith(".parquet")
-            ]
-
-        have_all_keys = all(
-            os.path.isdir(d) for d in paths.keys_dirs()
+        old_files = _parquet_files(
+            paths.keys_dirs()
+            if all(os.path.isdir(d) for d in paths.keys_dirs())
+            else paths.docs_paths()
         )
-        old_files = (
-            _parquet_files(paths.keys_dirs()) if have_all_keys
-            else _parquet_files(paths.docs_paths())
-        )
-        new_ds = read_corpus(corpus) if isinstance(corpus, str) else corpus
-        # the diff's guard pass only feeds narrow key rows (the delta re-guards
-        # separately), so large batches are safe and cut task-dispatch overhead
-        new_guarded = new_ds.map_batches(
-            guard_batch, batch_format="pyarrow",
-            batch_size=max(batch_size, 4096),
-        )
-        new_keys = new_guarded.map_batches(tag("new"), batch_format="pyarrow")
-        if old_files:
-            old_keys = rd.read_parquet(
-                old_files,
-                columns=["repo", "path", "commit", "content_sha256"],
-            ).map_batches(tag("old"), batch_format="pyarrow")
-            tagged_keys = old_keys.union(new_keys)
-        else:
-            # base built from an empty corpus: no docs files exist; every new
-            # triple is an addition
-            tagged_keys = new_keys
-
-        # classify keys VECTORIZED once per block of the key-hash sort: the
-        # sort range-partitions, so every (repo, path, commit) key's rows
-        # share one block, and each block resolves all its keys with one
-        # np.unique pass (a per-key map_groups would make one Python call
-        # PER FILE — O(corpus) driver-style Python at 10^12-file scale)
-        def add_key_hash(batch: pa.Table) -> pa.Table:
-            # the hashed key must be NUL-FREE: pandas' siphash truncates object
-            # strings at \x00 on the multi-element path but not the 1-element
-            # path, so the same key can get different hashes depending on
-            # batch shape (observed; classify would then see one side only
-            # and report phantom added+removed pairs). \x1f keeps (repo, path)
-            # joined unambiguously for dispersion; exactness lives in classify.
-            key = pd.Series(
-                pc.replace_substring(
-                    pc.binary_join_element_wise(
-                        batch.column("repo").combine_chunks(),
-                        batch.column("path").combine_chunks(),
-                        batch.column("commit").combine_chunks(),
-                        pa.scalar("\x1f"),
-                    ),
-                    pattern="\x00", replacement="\x1f",
-                ).to_pandas()
+        with st.timed("diff"):
+            delta = _diff_keys(corpus, old_files, batch_size)
+        by_status: dict[str, list[str]] = {}
+        for r in delta:
+            by_status.setdefault(r["status"], []).append(
+                "\x00".join((r["repo"], r["path"], r["commit"]))
             )
-            kh = pd.util.hash_pandas_object(key, index=False).to_numpy()
-            return batch.append_column(
-                "kh", pa.array(kh.view(np.int64), pa.int64())
-            )
-
-        def classify_part(g: pd.DataFrame) -> pd.DataFrame:
-            # per (key, sha): which sides carry it -> per key: same iff every
-            # pair is on both sides (set equality); added iff no old pairs;
-            # removed iff no new pairs; changed otherwise. Fully VECTORIZED
-            # (np.unique composite keys + bincount side flags).
-            empty = pd.DataFrame({
-                "repo": pd.Series([], dtype="string"),
-                "path": pd.Series([], dtype="string"),
-                "commit": pd.Series([], dtype="string"),
-                "status": pd.Series([], dtype="string"),
-            })
-            if not len(g):
-                return empty
-            # null-keyed rows must not vanish from the diff (the update would
-            # stamp the new fingerprint without ever seeing them) — surface
-            # them as "changed" so the full-rebuild path handles them
-            nul = g["repo"].isna() | g["path"].isna() | g["commit"].isna()
-            extra = None
-            if nul.any():
-                extra = pd.DataFrame({
-                    "repo": [""], "path": [""], "commit": [""],
-                    "status": ["changed"],
-                })
-                g = g[~nul]
-                if not len(g):
-                    return extra
-            sep = "\x00"
-            k3 = (
-                g["repo"].astype(str) + sep + g["path"].astype(str) + sep
-                + g["commit"].astype(str)
-            ).to_numpy()
-            k4 = k3 + sep + g["sha"].astype(str).to_numpy()
-            uniq4, first4, inv4 = np.unique(
-                k4, return_index=True, return_inverse=True
-            )
-            is_new = (g["src"].to_numpy() == "new")
-            has_old = np.bincount(
-                inv4[~is_new], minlength=len(uniq4)
-            ).astype(bool)
-            new_counts = np.bincount(inv4[is_new], minlength=len(uniq4))
-            has_new = new_counts.astype(bool)
-            _, first3, inv3 = np.unique(
-                k3[first4], return_index=True, return_inverse=True
-            )
-            k = first3.size
-            left_only = np.bincount(inv3[has_old & ~has_new], minlength=k)
-            right_only = np.bincount(inv3[~has_old & has_new], minlength=k)
-            both = np.bincount(inv3[has_old & has_new], minlength=k)
-            # byte-identical duplicate PHYSICAL rows of a NEW triple would
-            # all pass pick() and share one doc id — force such keys through
-            # the rebuild path instead of 'added'
-            dup_new = np.bincount(inv3[new_counts > 1], minlength=k) > 0
-            same = (left_only == 0) & (right_only == 0)
-            keep = ~same
-            if not keep.any():
-                return empty if extra is None else extra
-            # a triple with >1 distinct NEW sha is a corpus carrying duplicate
-            # primary keys with conflicting content — route it through the
-            # full-rebuild path rather than colliding doc ids in a generation
-            status = np.where(
-                (both == 0) & (left_only == 0) & (right_only == 1)
-                & ~dup_new, "added",
-                np.where((both == 0) & (right_only == 0), "removed", "changed"),
-            )[keep]
-            rows = g.iloc[first4[first3[keep]]]
-            out = pd.DataFrame({
-                "repo": rows["repo"].to_numpy(),
-                "path": rows["path"].to_numpy(),
-                "commit": rows["commit"].to_numpy(),
-                "status": status,
-            })
-            return out if extra is None else pd.concat(
-                [out, extra], ignore_index=True
-            )
-
-        delta_rows = (
-            tagged_keys
-            .map_batches(add_key_hash, batch_format="pyarrow")
-            .sort("kh")
-            .map_batches(classify_part, batch_format="pandas", batch_size=None)
-            .take_all()
-        )
-        _mark_stage("diff")
-        statuses = {r["status"] for r in delta_rows}
-        if "removed" in statuses or "changed" in statuses:
-            # the rebuild must preserve every knob of the original build (from
-            # the manifest's params record) — dropping ngram_index here would
-            # silently lose the substring index, and a different salt/shard
-            # layout would be a surprise reshape
-            return build_index(
-                corpus, out_dir, overwrite=True,
-                n_shards=int(params.get("n_shards", n_shards)),
-                salt_buckets=int(params.get("salt_buckets", 8)),
-                hot_threshold_frac=float(params.get("hot_threshold_frac", 0.05)),
-                ngram_index=bool(params.get("ngram_index",
-                                            stats.get("has_ngrams"))),
-            )
-        added = sorted(
-            (r["repo"], r["path"], r["commit"])
-            for r in delta_rows if r["status"] == "added"
-        )
+        if "full" in by_status:
+            return full()
+        if "changed" in by_status or "removed" in by_status:
+            return _renumber(paths, _as_dataset(corpus), old_files,
+                             by_status, stats, rebuild, full, batch_size)
+        added = by_status.get("added", [])
 
     def commit_manifest() -> None:
         # the updates history is DERIVED from the committed generations on
@@ -1639,8 +1576,7 @@ def update_index(corpus, out_dir: str, *, batch_size: int = 256,
                              added=lu.get("added")))
         manifest["updates"] = hist
         tmp_m = paths.manifest_path + ".tmp"
-        with open(tmp_m, "w") as f:
-            json.dump(manifest, f)
+        _write_json(tmp_m, manifest)
         os.replace(tmp_m, paths.manifest_path)
 
     gen_k = len(paths.update_gens())
@@ -1651,168 +1587,45 @@ def update_index(corpus, out_dir: str, *, batch_size: int = 256,
         return paths
 
     # -- build the generation under updates/gen-K.tmp ---------------------
-    os.makedirs(paths.updates_dir, exist_ok=True)
     gen_final = os.path.join(paths.updates_dir, f"gen-{gen_k}")
-    gen_tmp = gen_final + ".tmp"
-    if os.path.exists(gen_tmp):
-        shutil.rmtree(gen_tmp)
-    os.makedirs(gen_tmp)
-
+    gen_tmp = IndexPaths(gen_final + ".tmp")
+    os.makedirs(gen_tmp.root)
     offset = int(stats["n_docs"])
-    salt_shift = int(stats["salt_shift"])
-    hot = set(stats.get("hot_terms", []))
-    added_keys = np.array(
-        ["\x00".join(k) for k in added], dtype=object
-    )
-    added_ref = ray.put(np.sort(added_keys))
-
-    def _keys_of(batch: pa.Table) -> np.ndarray:
-        # the full (repo, path, commit) triple, \x00-joined exactly like
-        # assign_doc_ids — ids must be unique PER COMMIT of a path
-        return pc.binary_join_element_wise(
-            batch.column("repo").combine_chunks(),
-            batch.column("path").combine_chunks(),
-            pc.cast(batch.column("commit").combine_chunks(), pa.string()),
-            pa.scalar("\x00"),
-        ).to_numpy(zero_copy_only=False)
-
-    def pick(batch: pa.Table) -> pa.Table:
-        # key filter on the RAW corpus rows, BEFORE guard: the delta pass
-        # must not re-pay the full-corpus guard (sha over every content
-        # string) a second time — only added files flow past this point
-        ks = ray.get(added_ref)
-        bk = _keys_of(batch)
-        pos = np.searchsorted(ks, bk)
-        mask = (pos < len(ks)) & (ks[np.minimum(pos, len(ks) - 1)] == bk)
-        return batch.filter(pa.array(mask))
-
-    def add_ids(batch: pa.Table) -> pa.Table:
-        ks = ray.get(added_ref)
-        ids = offset + np.searchsorted(ks, _keys_of(batch))
-        return batch.append_column("doc_id", pa.array(ids, pa.int64()))
-
-    # append-only fast path: the delta can only live in the new files —
-    # never re-read (or re-stream) the rest of the corpus
-    if new_files_only is not None:
-        src_ds = rd.read_parquet(new_files_only)
-    elif isinstance(corpus, str):
-        src_ds = read_corpus(corpus)
-    else:
-        src_ds = corpus
-    docs_pipe = (
+    added_ref = ray.put(np.sort(np.array(added, dtype=object)))
+    # the append-only fast path never re-reads the untouched files
+    src_ds = (rd.read_parquet(new_files_only) if new_files_only is not None
+              else _as_dataset(corpus))
+    # key filter on the RAW corpus rows, BEFORE guard: only added files
+    # pay the guard's sha over their content
+    st.write_dir("docs", gen_tmp.docs_dir, lambda p: (
         src_ds
-        .map_batches(pick, batch_format="pyarrow")
+        .map_batches(_filter_keys(added_ref), batch_format="pyarrow")
         .map_batches(guard_batch, batch_format="pyarrow", batch_size=batch_size)
-        .map_batches(add_ids, batch_format="pyarrow")
+        .map_batches(_set_doc_ids(added_ref, offset), batch_format="pyarrow")
         .map_batches(tokenize_batch, batch_format="pyarrow", batch_size=batch_size)
+        .write_parquet(p, min_rows_per_file=8192)
+    ))
+    tail = _write_tail(
+        gen_tmp, st, n_shards=int(stats["n_shards"]),
+        ngram_index=bool(stats.get("has_ngrams")), batch_size=batch_size,
+        hot=set(stats.get("hot_terms", [])),
+        salt_shift=int(stats["salt_shift"]), id_offset=offset,
     )
-    gen_docs = os.path.join(gen_tmp, "docs")
-    docs_pipe.write_parquet(gen_docs, min_rows_per_file=8192)
-    _mark_stage("docs")
-
-    # the four remaining artifacts (doc_lens slice, posting segments, gram
-    # segments, key side table) all derive from gen_docs and are mutually
-    # independent — run them as CONCURRENT Ray jobs from driver threads
-    # instead of a serial tail of per-job fixed latencies (this tail used
-    # to dominate small deltas; the cleaning pipeline uses the same
-    # ThreadPoolExecutor-over-Ray-jobs pattern)
-    from concurrent.futures import ThreadPoolExecutor
-
-    def job_doc_lens() -> tuple[int, int]:
-        ds_len = rd.read_parquet(gen_docs, columns=["doc_id", "doc_len"])
-
-        def rebase(batch: pa.Table) -> pa.Table:
-            return pa.table({
-                "doc_id": pc.subtract(
-                    batch.column("doc_id"), pa.scalar(offset)
-                ),
-                "doc_len": batch.column("doc_len"),
-            })
-
-        return _write_doc_lens_sharded(
-            ds_len.map_batches(rebase, batch_format="pyarrow"),
-            os.path.join(gen_tmp, "doc_lens.npy"),
-        )
-
-    def job_segments() -> None:
-        tok_ds = rd.read_parquet(
-            gen_docs,
-            columns=["doc_id", "tokens", "n_content_tokens",
-                     "shadow_tokens"],
-        )
-        partial = make_partial_segments(hot, salt_shift)
-        merger = make_segment_merger(n_shards)
-        segments = (
-            tok_ds.map_batches(
-                partial, batch_format="pyarrow",
-                batch_size=max(batch_size, 1024),
-            )
-            .sort(["term", "salt"])
-            .map_batches(merger, batch_format="pyarrow")
-        )
-        gen_segs = os.path.join(gen_tmp, "segments")
-        segments.write_parquet(gen_segs, partition_cols=["shard"])
-        _compact_shard_dir(gen_segs, ["term", "salt"])
-        # every shard dir must exist even if no term of it was touched
-        for s in range(n_shards):
-            os.makedirs(os.path.join(gen_segs, f"shard={s}"), exist_ok=True)
-
-    def job_ngrams() -> None:
-        # the gram index appends exactly like the term index (same
-        # multi-row read-time merge)
-        gen_ngrams = os.path.join(gen_tmp, "ngrams")
-        (
-            rd.read_parquet(gen_docs, columns=["doc_id", "content"])
-            .map_batches(
-                make_ngram_partials(salt_shift),
-                batch_format="pyarrow", batch_size=batch_size,
-            )
-            .sort(["gram", "salt"])
-            .map_batches(make_ngram_merger(n_shards), batch_format="pyarrow")
-            .write_parquet(gen_ngrams, partition_cols=["shard"])
-        )
-        _compact_shard_dir(gen_ngrams, ["gram", "salt"])
-        for s in range(n_shards):
-            os.makedirs(
-                os.path.join(gen_ngrams, f"shard={s}"), exist_ok=True
-            )
-
-    def job_keys() -> None:
-        # this generation's slice of the key/sha side table, so the NEXT
-        # update's diff stays off the wide docs parquet
-        rd.read_parquet(
-            gen_docs,
-            columns=["repo", "path", "commit", "content_sha256"],
-        ).write_parquet(
-            os.path.join(gen_tmp, "keys"), min_rows_per_file=131072
-        )
-
-    jobs = [job_segments, job_keys]
-    if stats.get("has_ngrams"):
-        jobs.append(job_ngrams)
-    with ThreadPoolExecutor(max_workers=1 + len(jobs)) as ex:
-        fut_lens = ex.submit(job_doc_lens)
-        futs = [ex.submit(j) for j in jobs]
-        m_docs, m_sum_dl = fut_lens.result()
-        for f in futs:
-            f.result()
-    _mark_stage("tail_concurrent")
-
+    m_docs = tail["n_docs"]
     n_docs = offset + m_docs
-    sum_dl = int(stats["sum_dl"]) + m_sum_dl
-    gen_stats = dict(
+    sum_dl = int(stats["sum_dl"]) + tail["sum_dl"]
+    _write_json(os.path.join(gen_tmp.root, "stats.json"), dict(
         stats,
         n_docs=int(n_docs),
         sum_dl=int(sum_dl),
         avgdl=(sum_dl / n_docs) if n_docs else 0.0,
         metrics=dict(
             stats.get("metrics", {}),
-            last_update=dict(gen=gen_k, added=m_docs,
-                             stage_sec=stage_sec),
+            last_update=dict(gen=gen_k, added=m_docs, mode="append",
+                             reused_docs=offset, tokenized_docs=m_docs,
+                             stage_sec=st.sec),
         ),
-    )
-    with open(os.path.join(gen_tmp, "stats.json"), "w") as f:
-        json.dump(gen_stats, f)
+    ))
 
     # COMMIT — the rename itself is the race arbiter (first-rename-wins,
     # the documented /tmp-store pattern): a concurrent updater that
@@ -1823,9 +1636,9 @@ def update_index(corpus, out_dir: str, *, batch_size: int = 256,
     # exist is not a lost race but a real filesystem error (EACCES, EXDEV,
     # ...) and must surface, not loop; repeated genuine races are capped.
     try:
-        os.rename(gen_tmp, gen_final)
+        os.rename(gen_tmp.root, gen_final)
     except OSError:
-        shutil.rmtree(gen_tmp, ignore_errors=True)
+        shutil.rmtree(gen_tmp.root, ignore_errors=True)
         if not os.path.exists(gen_final):
             raise
         if _retries <= 0:
@@ -1841,6 +1654,72 @@ def update_index(corpus, out_dir: str, *, batch_size: int = 256,
     return paths
 
 
+def _renumber(paths: IndexPaths, src_ds, old_files: list[str],
+              by_status: dict[str, list[str]], stats: dict, rebuild, full,
+              batch_size: int) -> IndexPaths:
+    """The renumbering rebuild of ``update_index``: the stored docs rows of
+    unchanged keys plus the guarded, tokenized corpus rows of changed and
+    added keys, with doc ids reassigned from the sorted key list. Only
+    keys reach the driver."""
+    dropped = np.sort(np.array(
+        by_status.get("changed", []) + by_status.get("removed", []),
+        dtype=object,
+    ))
+    picked = np.sort(np.array(
+        by_status.get("changed", []) + by_status.get("added", []),
+        dtype=object,
+    ))
+    docs_files = _parquet_files(paths.docs_paths())
+    if int(stats["n_docs"]) + picked.size > DRIVER_KEY_SORT_MAX:
+        return full()
+    if docs_files:
+        # the reused rows and the fresh rows go into one docs table: a
+        # corpus whose columns changed needs the full build
+        docs_schema = pq.read_schema(docs_files[0])
+        want = list(src_ds.schema().names) + _DERIVED_COLS
+        if any(pq.read_schema(f).names != want for f in docs_files):
+            return full()
+        old_keys = _triple_keys(pa.concat_tables([
+            pq.read_table(f, columns=["repo", "path", "commit"])
+            for f in old_files
+        ]))
+    else:
+        old_keys = np.array([], dtype=object)
+    kept = ~_member(dropped, old_keys)
+    keys_ref = ray.put(np.sort(np.concatenate([old_keys[kept], picked])))
+    dropped_ref, picked_ref = ray.put(dropped), ray.put(picked)
+
+    def write_docs(st: _Stages, part: str) -> None:
+        parts = []
+        if kept.any():
+            parts.append(
+                rd.read_parquet(docs_files)
+                .map_batches(_filter_keys(dropped_ref, keep_members=False),
+                             batch_format="pyarrow")
+                .map_batches(_set_doc_ids(keys_ref), batch_format="pyarrow")
+            )
+        if picked.size:
+            parts.append(
+                src_ds
+                .map_batches(_filter_keys(picked_ref), batch_format="pyarrow")
+                .map_batches(guard_batch, batch_format="pyarrow",
+                             batch_size=batch_size)
+                .map_batches(_set_doc_ids(keys_ref), batch_format="pyarrow")
+                .map_batches(tokenize_batch, batch_format="pyarrow",
+                             batch_size=batch_size)
+            )
+        if not parts:
+            return
+        ds = parts[0].union(*parts[1:]) if len(parts) > 1 else parts[0]
+        if docs_files:  # one schema for every written file
+            ds = ds.map_batches(lambda b: b.cast(docs_schema),
+                                batch_format="pyarrow")
+        ds.write_parquet(part, min_rows_per_file=8192)
+
+    return rebuild(write_docs, mode="renumber", reused_docs=int(kept.sum()),
+                   tokenized_docs=int(picked.size))
+
+
 def compact_index(index_dir: str, out_dir: str, *, batch_size: int = 1024) -> IndexPaths:
     """Merge an index's update generations back into a single-generation
     index at ``out_dir`` (the background segment-merge step of the Lucene
@@ -1848,12 +1727,12 @@ def compact_index(index_dir: str, out_dir: str, *, batch_size: int = 1024) -> In
     noticeable).
 
     Much cheaper than a rebuild from the corpus: the stored docs tables
-    (tokens included — the expensive tokenize stage is NOT re-run) stream
-    straight into the postings partial -> sort -> merge pipeline; doc ids,
-    stats and the doc-length slices are carried over as-is. ``out_dir``
-    must be a fresh directory — the caller swaps it over the old index
-    (one directory rename), which keeps the commit trivially atomic and
-    lets the old index serve queries during the compaction.
+    (tokens included — the expensive tokenize stage is NOT re-run) go
+    through the same docs -> index tail as a build; doc ids and stats are
+    carried over as-is. ``out_dir`` must be a fresh directory — the caller
+    swaps it over the old index (one directory rename), which keeps the
+    commit trivially atomic and lets the old index serve queries during
+    the compaction.
     """
     src = IndexPaths(index_dir)
     stats = src.stats()
@@ -1867,93 +1746,23 @@ def compact_index(index_dir: str, out_dir: str, *, batch_size: int = 1024) -> In
     os.makedirs(dst.docs_dir)
 
     # docs: copy the base + generation files under collision-free names
-    k = 0
-    for d in src.docs_paths():
-        for f in sorted(os.listdir(d)):
-            if f.endswith(".parquet"):
-                shutil.copy2(
-                    os.path.join(d, f),
-                    os.path.join(dst.docs_dir, f"compact-{k:06d}.parquet"),
-                )
-                k += 1
+    for k, f in enumerate(_parquet_files(src.docs_paths())):
+        shutil.copy2(f, os.path.join(dst.docs_dir, f"compact-{k:06d}.parquet"))
 
-    # doc-length attribute: generation slices are consecutive doc-id
-    # ranges, so the merged array is their concatenation — each trimmed to
-    # its recorded doc count (an empty base's npy is padded to shape (1,))
-    arrs = [
-        a if n < 0 else a[:n]
-        for p, n in src.doc_lens_slices()
-        if os.path.exists(p)
-        for a in (np.load(p, mmap_mode="r"),)
-    ]
-    if arrs:
-        merged = np.concatenate(arrs) if len(arrs) > 1 else np.asarray(arrs[0])
-        if merged.shape[0] == 0:
-            merged = np.zeros(1, dtype="<i4")  # keep the writer's pad shape
-        np.save(dst.doc_lens_path, merged)
-
-    # key/sha side table: regenerate from the merged docs (one narrow job;
-    # robust even when the source index predates the side table)
-    if any(f.endswith(".parquet") for f in os.listdir(dst.docs_dir)):
-        rd.read_parquet(
-            dst.docs_dir,
-            columns=["repo", "path", "commit", "content_sha256"],
-        ).write_parquet(dst.keys_dir, min_rows_per_file=131072)
-    else:
-        os.makedirs(dst.keys_dir, exist_ok=True)
-
-    # segments: re-derive from the stored tokens (no tokenize stage)
-    tok_ds = rd.read_parquet(
-        dst.docs_dir,
-        columns=["doc_id", "tokens", "n_content_tokens", "shadow_tokens"],
+    # everything else re-derives from the stored docs (tokens included —
+    # the expensive tokenize stage is NOT re-run) in the base's layout
+    _write_tail(
+        dst, _Stages(), n_shards=n_shards,
+        ngram_index=bool(stats.get("has_ngrams")), batch_size=batch_size,
+        hot=set(stats.get("hot_terms", [])),
+        salt_shift=int(stats["salt_shift"]),
     )
-    hot = set(stats.get("hot_terms", []))
-    salt_shift = int(stats["salt_shift"])
-    segments = (
-        tok_ds.map_batches(
-            make_partial_segments(hot, salt_shift),
-            batch_format="pyarrow", batch_size=batch_size,
-        )
-        .sort(["term", "salt"])
-        .map_batches(make_segment_merger(n_shards), batch_format="pyarrow")
-    )
-    segments.write_parquet(dst.segments_dir, partition_cols=["shard"])
-    _compact_shard_dir(dst.segments_dir, ["term", "salt"])
-    for s in range(n_shards):
-        os.makedirs(os.path.join(dst.segments_dir, f"shard={s}"), exist_ok=True)
-
-    if stats.get("has_ngrams"):
-        (
-            rd.read_parquet(dst.docs_dir, columns=["doc_id", "content"])
-            .map_batches(
-                make_ngram_partials(salt_shift),
-                batch_format="pyarrow", batch_size=batch_size,
-            )
-            .sort(["gram", "salt"])
-            .map_batches(make_ngram_merger(n_shards), batch_format="pyarrow")
-            .write_parquet(dst.ngrams_dir, partition_cols=["shard"])
-        )
-        _compact_shard_dir(dst.ngrams_dir, ["gram", "salt"])
-        for s in range(n_shards):
-            os.makedirs(os.path.join(dst.ngrams_dir, f"shard={s}"), exist_ok=True)
-
-    with open(dst.stats_path, "w") as f:
-        json.dump(
-            dict(
-                stats,
-                metrics=dict(
-                    stats.get("metrics", {}),
-                    compacted_gens=len(src.update_gens()),
-                ),
-            ),
-            f,
-        )
-    try:
-        with open(src.manifest_path) as f:
-            manifest = json.load(f)
-    except (OSError, json.JSONDecodeError):
-        manifest = {"complete": True}
-    with open(dst.manifest_path, "w") as f:
-        json.dump(manifest, f)
+    _write_json(dst.stats_path, dict(
+        stats,
+        metrics=dict(
+            stats.get("metrics", {}), compacted_gens=len(src.update_gens())
+        ),
+    ))
+    _write_json(dst.manifest_path, _read_manifest(src) or {"complete": True})
     os.rename(tmp_root, out_dir)
     return IndexPaths(out_dir)

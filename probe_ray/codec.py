@@ -211,9 +211,10 @@ def decode_postings_selective(
 
 
 def merge_encoded(blobs: list[bytes]) -> tuple[bytes, bytes, bytes]:
-    """Merge several doc-id-sorted sub-blobs of the SAME term (salted shuffle
-    second stage, SURVEY.md §7.1 step 6). Sub-lists are disjoint by
-    construction (a doc's postings for one term are emitted once)."""
+    """Merge several encoded doc-id-sorted sub-blobs of the SAME term into
+    one list (decode, sort, one encode). Sub-lists must be disjoint. The
+    index build merges raw id lists before its one encode instead
+    (build._merge_runs)."""
     ids_list, tf_list = zip(*(decode_postings(b) for b in blobs))
     ids = np.concatenate(ids_list)
     tfs = np.concatenate(tf_list)

@@ -540,7 +540,7 @@ class Engine:
             # per-engine precomputations shared by every query: lowered
             # content (injection substring checks) and byte sizes (limits)
             tbl = tbl.append_column(
-                "content_lower", pc.utf8_lower(tbl.column("content"))
+                "content_lower", _str_lower(tbl.column("content"))
             )
             tbl = tbl.append_column(
                 "n_bytes_pre",
@@ -2239,6 +2239,21 @@ _HIT_FANOUT_MIN = 384
 _HIT_FANOUT_TASKS = 32
 
 
+def _str_lower(col) -> pa.Array:
+    """Python ``str.lower()`` of a string column, oracle.py's lowercase.
+    Arrow ``utf8_lower`` differs on a few codepoints (U+0130 lowers to two
+    chars in Python), so non-ASCII rows are lowered in Python."""
+    if isinstance(col, pa.ChunkedArray):
+        col = col.combine_chunks()
+    low = pc.utf8_lower(col)
+    non_ascii = pc.invert(pc.string_is_ascii(col)).fill_null(False)
+    idx = np.flatnonzero(non_ascii.to_numpy(zero_copy_only=False))
+    if not idx.size:
+        return low
+    fixed = [s.lower() for s in col.take(pa.array(idx)).to_pylist()]
+    return pc.replace_with_mask(low, non_ascii, pa.array(fixed, pa.string()))
+
+
 def _special_hits(batch: pa.Table, specials, keep: np.ndarray) -> np.ndarray:
     """Rows (among ``keep``) whose lowered content or path contains a
     special term's text. Only these can tokenize differently from their
@@ -2251,28 +2266,11 @@ def _special_hits(batch: pa.Table, specials, keep: np.ndarray) -> np.ndarray:
     if "content_lower" in batch.schema.names:
         cl = batch.column("content_lower")
     else:
-        cl = pc.utf8_lower(batch.column("content"))
-    pl = pc.utf8_lower(batch.column("path"))
+        cl = _str_lower(batch.column("content"))
+    pl = _str_lower(batch.column("path"))
     for s in specials:
         hit |= pc.match_substring(cl, s).to_numpy(zero_copy_only=False)
         hit |= pc.match_substring(pl, s).to_numpy(zero_copy_only=False)
-    # Arrow utf8_lower can differ from Python str.lower() on a few
-    # codepoints (e.g. U+0130 expands to two chars in Python): re-check
-    # arrow-NEGATIVE non-ASCII rows with `str.lower()`. Arrow false
-    # POSITIVES are harmless — re-tokenizing an unaffected doc reproduces
-    # its stored tokens.
-    non_ascii = ~(
-        pc.string_is_ascii(batch.column("content")).to_numpy(zero_copy_only=False)
-        & pc.string_is_ascii(batch.column("path")).to_numpy(zero_copy_only=False)
-    )
-    idx = np.flatnonzero(non_ascii & ~hit & keep)
-    if idx.size:
-        take = pa.array(idx)
-        contents = batch.column("content").take(take).to_pylist()
-        paths = batch.column("path").take(take).to_pylist()
-        for j, c, p in zip(idx, contents, paths):
-            cl_py, pl_py = c.lower(), p.lower()
-            hit[j] = any(s in cl_py or s in pl_py for s in specials)
     return hit & keep
 
 
@@ -2400,7 +2398,7 @@ def _make_vector_verifier(ctx, lang_exts, fname_matches, ranking_terms,
             missing = ~member[t]
             if missing.any():
                 if content_lower is None:
-                    content_lower = pc.utf8_lower(batch.column("content"))
+                    content_lower = _str_lower(batch.column("content"))
                 contained = pc.match_substring(content_lower, t).to_numpy(
                     zero_copy_only=False
                 )

@@ -313,3 +313,57 @@ def test_single_doc_and_tiny_corpus(ray_session, tmp_path):
     # query for something absent
     assert eng.search(["nonexistentzzz"]).num_rows == 0
     assert eng.search_blocks(["nonexistentzzz"]).num_rows == 0
+
+
+def test_segments_decode_to_reference_postings(t2_index):
+    """Every (term, salt) segment row set of the t2 index decodes to the
+    postings a per-doc reference combine gives from the stored docs table
+    (content tf in bits 0-3, path tf in bits 4-7, tf=0 shadow postings,
+    hot terms salted by doc-id range), with df counting tf > 0; a
+    single-row run carries exactly one encode of its whole list. The gram
+    index likewise holds each doc's set of lowercase 3-grams."""
+    import pyarrow.dataset as pads
+
+    from probe_ray import codec
+
+    stats = t2_index.stats()
+    hot, shift = set(stats["hot_terms"]), stats["salt_shift"]
+    docs = pads.dataset(t2_index.docs_dir).to_table(
+        columns=["doc_id", "tokens", "n_content_tokens", "shadow_tokens",
+                 "content"]
+    ).to_pylist()
+    want: dict = {"term": {}, "gram": {}}
+    for d in docs:
+        did, toks, nc = d["doc_id"], d["tokens"], d["n_content_tokens"]
+        counts = dict.fromkeys(toks[:nc], 1)
+        for t in toks[nc:]:
+            counts[t] = counts.get(t, 0) + 16
+        for t in d["shadow_tokens"]:
+            counts.setdefault(t, 0)
+        for t, tf in counts.items():
+            salt = did >> shift if t in hot else 0
+            want["term"].setdefault((t, salt), []).append((did, tf))
+        cl = d["content"].lower()
+        for g in {cl[i:i + 3] for i in range(len(cl) - 2)}:
+            want["gram"].setdefault((g, did >> shift), []).append((did, 1))
+
+    for key, root in (("term", t2_index.segments_dir),
+                      ("gram", t2_index.ngrams_dir)):
+        got: dict = {}
+        for r in pads.dataset(root, partitioning="hive").to_table().to_pylist():
+            got.setdefault((r[key], r["salt"]), []).append(r)
+        assert set(got) == set(want[key]), key
+        for k, rows in got.items():
+            pairs = []
+            for r in rows:
+                ids, tfs = codec.decode_postings(r["blob"])
+                pairs.extend(zip(ids.tolist(), tfs.tolist()))
+            assert sorted(pairs) == sorted(want[key][k]), (key, k)
+            assert sum(r["df"] for r in rows) == sum(
+                tf > 0 for _, tf in pairs), (key, k)
+            if len(rows) == 1 and key == "term":
+                ids, tfs = zip(*sorted(pairs))
+                blob, skip, bmax = codec.encode_postings(
+                    np.array(ids, np.uint64), np.array(tfs, np.uint8))
+                assert (rows[0]["blob"], rows[0]["skip"],
+                        rows[0]["block_max"]) == (blob, skip, bmax), k

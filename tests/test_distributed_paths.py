@@ -110,6 +110,34 @@ def test_special_term_where_python_and_arrow_lowercase_differ(tmp_path, ray_sess
                              f"{queries} {opts}")
 
 
+def test_plain_term_injection_uses_python_lowercase(tmp_path, ray_session):
+    """Exact-literal injection of a plain term checks containment in the
+    Python-lowered content, as oracle.py does: "let İfoo = bar;" lowers to
+    "let i̇foo = bar;" there (Arrow's utf8_lower gives "ifoo"), so `ifoo` is
+    not injected into that row, in process and on Ray."""
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    from probe_ray.build import build_index
+
+    rows = [
+        dict(repo="r", path=f"src/m{i}.rs", commit="c", lang="rust", content=c)
+        for i, c in enumerate([
+            "let İfoo = bar;\n",
+            "let ifoo = baz;\n",
+            "fn bar() { qux(); }\n",
+        ])
+    ]
+    corpus = tmp_path / "lower.parquet"
+    pq.write_table(pa.Table.from_pylist(rows), str(corpus))
+    index = build_index(str(corpus), str(tmp_path / "idx"))
+    expected = oracle_search(rows, ["ifoo OR bar"])
+    assert [list(h.matched_terms) for h in expected if h.path == "src/m0.rs"] == [["bar"]]
+    for engine in (Engine(index), force_distributed(Engine(index))):
+        assert_same_hits(engine.search(["ifoo OR bar"]).to_pylist(), expected,
+                         "ifoo OR bar")
+
+
 def _feats_layouts(feats, monkeypatch):
     """One feats set three ways: the in-process table; a materialized
     Dataset of 17-row blocks (one map task per block); and a lazy Dataset

@@ -556,32 +556,31 @@ def test_modified_corpus_file_leaves_fast_path(tmp_path):
 
 
 def test_update_sequence_fuzz_matches_fresh_build(tmp_path):
-    """Property fuzz (verdict r4 item 6): random add/modify/remove
-    sequences, several generations deep, with a stale crash .tmp injected
-    mid-sequence — after every step the updated index must answer queries
-    with the SAME result set and scores as a from-scratch build of the
-    same corpus. Tie ORDER may deviate (documented Lucene-id contract), so
-    rows are compared as (path, score) sets."""
+    """Property fuzz: random add/modify/remove sequences, several
+    generations deep, with a stale crash .tmp injected mid-sequence. After
+    a modify or remove step (a renumbering rebuild) the updated index must
+    return the SAME (doc_id, rank, score) rows as a from-scratch build of
+    the same corpus, in compat and global mode. After an add step (an
+    append generation) tie ORDER may deviate (documented Lucene-id
+    contract), so rows are compared as (path, score) sets."""
     import random
     import shutil
 
     from probe_ray.build import build_index, update_index
     from probe_ray.search import Engine
 
-    def results_of(paths, queries):
-        got = Engine(paths).search(queries, max_results=100)
-        return sorted(
-            (p, round(s, 9))
-            for p, s in zip(
-                got.column("path").to_pylist(),
-                got.column("score").to_pylist(),
-            )
-        )
+    def results_of(paths, queries, mode, exact):
+        got = Engine(paths).search(queries, max_results=100, mode=mode)
+        scores = [round(s, 9) for s in got.column("score").to_pylist()]
+        if exact:
+            return list(zip(got.column("doc_id").to_pylist(),
+                            got.column("rank").to_pylist(), scores))
+        return sorted(zip(got.column("path").to_pylist(), scores))
 
     queries_list = (["keywordAlpha"], ["keywordBeta"],
                     ["keywordAlpha OR keywordBeta"], ["respond AND loader1"])
 
-    for seed in (11, 29):
+    for seed, ngram in ((11, False), (29, True)):
         rng = random.Random(seed)
         cdir = tmp_path / f"corpus{seed}"
         cdir.mkdir()
@@ -600,11 +599,12 @@ def test_update_sequence_fuzz_matches_fresh_build(tmp_path):
         state["base.parquet"] = fresh_rows(5)
         _write(cdir / "base.parquet", state["base.parquet"])
         idx = str(tmp_path / f"idx{seed}")
-        update_index(str(cdir), idx)  # builds fresh
+        build_index(str(cdir), idx, ngram_index=ngram)
 
-        for step in range(4):
+        for step in range(5):
             op = rng.choice(["add", "add", "modify", "remove"])
             if op == "add" or len(state) == 1:
+                op = "add"
                 fname = f"add{step}.parquet"
                 state[fname] = fresh_rows(rng.randint(1, 4))
                 _write(cdir / fname, state[fname])
@@ -626,15 +626,104 @@ def test_update_sequence_fuzz_matches_fresh_build(tmp_path):
                 os.makedirs(os.path.join(stale, "docs"), exist_ok=True)
 
             p = update_index(str(cdir), idx)
+            last = p.stats()["metrics"]["last_update"]
+            assert last["mode"] == ("append" if op == "add" else "renumber"), (
+                seed, step, op, last
+            )
 
             fresh_dir = str(tmp_path / f"fresh{seed}_{step}")
             if os.path.exists(fresh_dir):
                 shutil.rmtree(fresh_dir)
-            f = build_index(str(cdir), fresh_dir)
-            for queries in queries_list:
-                assert results_of(p, queries) == results_of(f, queries), (
-                    seed, step, op, queries
-                )
+            f = build_index(str(cdir), fresh_dir, ngram_index=ngram)
+            assert p.stats()["n_docs"] == f.stats()["n_docs"]
+            assert p.stats()["sum_dl"] == f.stats()["sum_dl"]
+            for mode in ("compat", "global"):
+                for queries in queries_list:
+                    exact = op != "add"
+                    assert results_of(p, queries, mode, exact) == results_of(
+                        f, queries, mode, exact
+                    ), (seed, step, op, mode, queries)
+            if ngram:
+                for q in (['"oader1"'], ['"pha;"']):
+                    assert results_of(p, q, "compat", op != "add") == \
+                        results_of(f, q, "compat", op != "add"), (seed, step, q)
+
+
+def test_one_changed_file_tokenizes_one_doc(tmp_path):
+    """A change to one file re-tokenizes that file only: the renumbering
+    rebuild reuses every other stored docs row (all generations) and gives
+    every doc its fresh-build id."""
+    import numpy as np
+    import pyarrow.dataset as pads
+
+    from probe_ray.build import build_index, update_index
+
+    cdir = _dir_corpus(tmp_path, "corpus", {"a.parquet": _rows(6)})
+    build_index(cdir, str(tmp_path / "idx"))
+    _write(os.path.join(cdir, "b.parquet"), _rows(3, start=40))
+    p = update_index(cdir, str(tmp_path / "idx"))
+    assert p.stats()["metrics"]["last_update"]["mode"] == "append"
+
+    rows = _rows(6)
+    rows[4]["content"] += "// one change\n"
+    _write(os.path.join(cdir, "a.parquet"), rows)
+    p = update_index(cdir, str(tmp_path / "idx"))
+    last = p.stats()["metrics"]["last_update"]
+    assert (last["mode"], last["tokenized_docs"], last["reused_docs"]) == (
+        "renumber", 1, 8
+    )
+    assert "diff" in last["stage_sec"] and "docs" in last["stage_sec"]
+    assert p.update_gens() == []
+
+    fresh = build_index(cdir, str(tmp_path / "fresh"))
+    cols = ["doc_id", "repo", "path", "commit", "content_sha256", "doc_len",
+            "tokens", "shadow_tokens", "n_content_tokens", "is_test"]
+
+    def docs(paths):
+        return pads.dataset(paths.docs_dir).to_table(columns=cols).sort_by(
+            "doc_id").to_pylist()
+
+    assert docs(p) == docs(fresh)
+    assert np.array_equal(np.load(p.doc_lens_path), np.load(fresh.doc_lens_path))
+    for k in ("n_docs", "sum_dl", "avgdl", "salt_shift"):
+        assert p.stats()[k] == fresh.stats()[k], k
+
+
+def test_renumber_crash_before_rename_keeps_old_index(tmp_path):
+    """A failure inside the renumbering rebuild, before its rename, leaves
+    the old index serving the pre-update corpus; the next update finishes
+    (resuming the crashed stages) with fresh-build results."""
+    from probe_ray.build import build_index, update_index
+    from probe_ray.search import Engine
+
+    c1 = tmp_path / "c1.parquet"
+    _write(c1, _rows(5) + _rows(2, start=20, marker="keywordBeta"))
+    idx = str(tmp_path / "idx")
+    build_index(str(c1), idx)
+    before = Engine(idx).search(["keywordAlpha OR keywordBeta"]).to_pylist()
+
+    rows = _rows(5)[1:]  # file0 removed
+    rows[0]["content"] += "// keywordBeta\n"  # file1 changed
+    c2 = tmp_path / "c2.parquet"
+    _write(c2, rows + _rows(2, start=20, marker="keywordBeta"))
+    for stage in ("docs", "segments"):
+        with pytest.raises(RuntimeError, match="injected failure"):
+            update_index(str(c2), idx, _fail_after=stage)
+        assert os.path.isdir(idx + ".tmp")
+        assert Engine(idx).search(
+            ["keywordAlpha OR keywordBeta"]).to_pylist() == before
+        assert Engine(idx).paths.stats()["n_docs"] == 7
+
+    p = update_index(str(c2), idx)
+    assert not os.path.exists(idx + ".tmp")
+    assert p.stats()["metrics"]["last_update"]["mode"] == "renumber"
+    fresh = build_index(str(c2), str(tmp_path / "fresh"))
+    for q in (["keywordAlpha OR keywordBeta"], ["keywordBeta"]):
+        a = Engine(p).search(q).to_pylist()
+        b = Engine(fresh).search(q).to_pylist()
+        assert [(r["doc_id"], r["rank"], r["score"]) for r in a] == [
+            (r["doc_id"], r["rank"], r["score"]) for r in b
+        ], q
 
 
 def test_append_only_all_delta_rows_guarded_is_noop(tmp_path):
