@@ -1347,33 +1347,36 @@ def _diff_keys(corpus, old_files: list[str],
             "kh", pa.array(kh.view(np.int64), pa.int64())
         )
 
-    def classify_part(g: pd.DataFrame) -> pd.DataFrame:
-        empty = pd.DataFrame({
-            c: pd.Series([], dtype="string")
-            for c in ("repo", "path", "commit", "status")
-        })
-        if not len(g):
+    key_schema = pa.schema(
+        [(c, pa.string()) for c in ("repo", "path", "commit", "status")]
+    )
+
+    def classify_part(g: pa.Table) -> pa.Table:
+        # Arrow string columns in and out: Ray's block sizing logs an error
+        # for every empty pandas object column
+        empty = key_schema.empty_table()
+        if not g.num_rows:
             return empty
         # null-keyed rows must not vanish from the diff (the update would
         # stamp the new fingerprint without ever seeing them)
-        nul = g["repo"].isna() | g["path"].isna() | g["commit"].isna()
+        nul = pc.or_(pc.or_(pc.is_null(g.column("repo")), pc.is_null(g.column("path"))),
+                     pc.is_null(g.column("commit")))
         extra = None
-        if nul.any():
-            extra = pd.DataFrame({"repo": [""], "path": [""], "commit": [""],
-                                  "status": ["full"]})
-            g = g[~nul]
-            if not len(g):
+        if pc.any(nul).as_py():
+            extra = pa.table({"repo": [""], "path": [""], "commit": [""],
+                              "status": ["full"]}, schema=key_schema)
+            g = g.filter(pc.invert(nul))
+            if not g.num_rows:
                 return extra
-        sep = "\x00"
-        k3 = (
-            g["repo"].astype(str) + sep + g["path"].astype(str) + sep
-            + g["commit"].astype(str)
-        ).to_numpy()
-        k4 = k3 + sep + g["sha"].astype(str).to_numpy()
+        cols = [g.column(c) for c in ("repo", "path", "commit", "sha")]
+        k3 = pc.binary_join_element_wise(*cols[:3], "\x00").to_numpy(
+            zero_copy_only=False)
+        k4 = pc.binary_join_element_wise(*cols, "\x00").to_numpy(
+            zero_copy_only=False)
         uniq4, first4, inv4 = np.unique(
             k4, return_index=True, return_inverse=True
         )
-        is_new = (g["src"].to_numpy() == "new")
+        is_new = pc.equal(g.column("src"), "new").to_numpy(zero_copy_only=False)
         old_counts = np.bincount(inv4[~is_new], minlength=len(uniq4))
         new_counts = np.bincount(inv4[is_new], minlength=len(uniq4))
         has_old, has_new = old_counts > 0, new_counts > 0
@@ -1396,22 +1399,18 @@ def _diff_keys(corpus, old_files: list[str],
             np.where(n_old == 0, "added",
                      np.where(n_new == 0, "removed", "changed")),
         )[keep]
-        rows = g.iloc[first4[first3[keep]]]
-        out = pd.DataFrame({
-            "repo": rows["repo"].to_numpy(),
-            "path": rows["path"].to_numpy(),
-            "commit": rows["commit"].to_numpy(),
-            "status": status,
-        })
-        return out if extra is None else pd.concat(
-            [out, extra], ignore_index=True
+        rows = pa.array(first4[first3[keep]])
+        out = pa.Table.from_arrays(
+            [c.take(rows) for c in cols[:3]] + [pa.array(status, pa.string())],
+            schema=key_schema,
         )
+        return out if extra is None else pa.concat_tables([out, extra])
 
     return (
         tagged_keys
         .map_batches(add_key_hash, batch_format="pyarrow")
         .sort("kh")
-        .map_batches(classify_part, batch_format="pandas", batch_size=None)
+        .map_batches(classify_part, batch_format="pyarrow", batch_size=None)
         .take_all()
     )
 

@@ -26,7 +26,6 @@ rule, and conformance tests assert engine == oracle exactly.
 from __future__ import annotations
 
 import functools
-import itertools
 import time
 from collections.abc import Callable
 from dataclasses import dataclass
@@ -1196,20 +1195,21 @@ class Engine:
         if n == 0:
             return _BLOCK_SCHEMA.empty_table()
         if exact or ast_all_exact or ranking_ast is None:
-            rows = _unranked_rows(_sorted_feats(feats, _BLOCK_FINISH))
+            tables = _unranked_rows(_sorted_feats(feats, _BLOCK_FINISH), _BLOCK_FINISH)
         else:
-            rows = self._ranked_rows(
+            tables = self._ranked_rows(
                 feats, _BLOCK_FINISH, ranking_ast, ranking_terms, len(queries),
                 cap=max_results if max_results is not None
                 else _BLOCK_SCAN_MAX if limited else None,
             )
-        # limits over block code bytes (search_limiter.rs:22-226)
-        rows, limits_meta = _apply_limits_rows(
-            rows, "n_code_bytes", n, max_results, max_bytes, max_tokens,
+        # limits over block code bytes (search_limiter.rs:22-226); only the
+        # admitted rows become dicts for the row-wise dedup and merge
+        admitted, limits_meta = _apply_limits(
+            tables, _BLOCK_FINISH, n, max_results, max_bytes, max_tokens,
             max_iter=_BLOCK_SCAN_MAX,
         )
         return self._assemble_block_results(
-            rows, limits_meta, queries, no_merge=no_merge,
+            admitted.to_pylist(), limits_meta, queries, no_merge=no_merge,
             merge_threshold=merge_threshold, session=session,
             reranker=reranker, question=question,
         )
@@ -1241,33 +1241,14 @@ class Engine:
         if session is not None:
             self._session_add_blocks(
                 self._session_key(session, queries),
-                [
-                    (r["file"], int(r["start"]), int(r["end"]), int(r["doc_id"]))
-                    for r in rows
-                ],
+                [(r["file"], int(r["start"]), int(r["end"]), int(r["doc_id"]))
+                 for r in rows],
             )
-        out = pa.table(
-            {
-                "doc_id": pa.array([r["doc_id"] for r in rows], pa.int64()),
-                "repo": pa.array([r["repo"] for r in rows], pa.string()),
-                "path": pa.array([r["path"] for r in rows], pa.string()),
-                "start_line": pa.array([r["start"] for r in rows], pa.int64()),
-                "end_line": pa.array([r["end"] for r in rows], pa.int64()),
-                "node_type": pa.array([r["node_type"] for r in rows], pa.string()),
-                "rank": pa.array([r["rank"] for r in rows], pa.int64()),
-                "score": pa.array([r["score"] for r in rows], pa.float64()),
-                "bm25_score": pa.array(
-                    [r["bm25_score"] for r in rows], pa.float64()
-                ),
-                "matched_keywords": pa.array(
-                    [r["matched_keywords"] for r in rows], pa.list_(pa.string())
-                ),
-                "matched_lines": pa.array(
-                    [r["matched_lines"] for r in rows], pa.list_(pa.int64())
-                ),
-                "code": pa.array([r["code"] for r in rows], pa.string()),
-            }
-        )
+        key = {"start_line": "start", "end_line": "end"}
+        out = pa.Table.from_arrays([
+            pa.array([r[key.get(f.name, f.name)] for r in rows], f.type)
+            for f in _BLOCK_SCHEMA
+        ], schema=_BLOCK_SCHEMA)
         if reranker in _rr.RERANKER_MODELS:
             out = _rr.rerank_table(
                 out, question or " ".join(queries), model=reranker,
@@ -1672,22 +1653,19 @@ class Engine:
 
         ranked = not (files_only or exact or ctx.ast_all_exact)
         if not ranked:
-            rows = _unranked_rows(_sorted_feats(feats, _DOC_FINISH))
+            tables = _unranked_rows(_sorted_feats(feats, _DOC_FINISH), _DOC_FINISH)
         elif n == 0 or ranking_ast is None:
             return _empty_result(), _NO_LIMITS
         else:
-            rows = self._ranked_rows(
+            tables = self._ranked_rows(
                 feats, _DOC_FINISH, ranking_ast, ranking_terms, len(queries),
                 cap=max_results,
             )
-        rows, limits_meta = _apply_limits_rows(
-            rows, "n_bytes", n, max_results, max_bytes, max_tokens
+        admitted, limits_meta = _apply_limits(
+            tables, _DOC_FINISH, n, max_results, max_bytes, max_tokens
         )
         plan_terms = sorted(plan.term_indices, key=plan.term_indices.__getitem__)
-        for r in rows:
-            bits = r["kws_bits"] if r["rank"] is not None else r["matched_bits"]
-            r["matched_terms"] = _bits_to_terms(bits, plan_terms)
-        return _dicts_to_result(_dedupe_files(rows) if ranked else rows), limits_meta
+        return _doc_result(admitted, plan_terms, ranked), limits_meta
 
     # -- shared finishes (docs and blocks; in-process or as Ray jobs) --------
 
@@ -1719,13 +1697,14 @@ class Engine:
         df — SURVEY.md §7.4); each block scores its rows and keeps its top
         ``cap``; the driver merges them in (-score, -bm25_score, cand_key)
         order, the reference's stable boosted sort over the bm25 order
-        (oracle.py). Yields those rows with rank 1.., then the flagged rows
-        of the positional-overwrite quirk (result_ranking.rs:337-358): the
-        candidates past the k_valid-th in cand_key order, in file order
-        with rank None. The k_valid-th key is located by a key histogram
+        (oracle.py). Yields those rows as one finished table with rank
+        1.., then the flagged rows of the positional-overwrite quirk
+        (result_ranking.rs:337-358) as sorted tables with a null rank and
+        zero scores: the candidates past the k_valid-th in cand_key order,
+        in file order. The k_valid-th key is located by a key histogram
         and one read of the keys in its bucket, so no O(candidates) state
         reaches the driver; flagged rows are only located once the
-        consumer reads past the ranked ones."""
+        consumer reads past the ranked table."""
         hb = self._HIST_BUCKETS
         key_max = (self._stats["n_docs"] + 1) << spec.shift
         # divide before multiply: key * hb would wrap int64 on big corpora
@@ -1793,10 +1772,11 @@ class Engine:
                 -top.column("bm25_score").to_numpy(),
                 -top.column("score").to_numpy(),
             ))[:cap]
-            top = top.take(pa.array(order)).drop_columns(["cand_key", "n_valid"])
-            for rank, r in enumerate(top.to_pylist(), 1):
-                r["rank"] = rank
-                yield r
+            top = top.take(pa.array(order))
+            yield _finished(
+                top, spec, pa.array(np.arange(1, order.size + 1)),
+                top.column("score"), top.column("bm25_score"),
+            )
         if k_valid == n_cand:
             return
         d_star = 0
@@ -1813,7 +1793,7 @@ class Engine:
                 [t.column("k").to_numpy() for t in _map_feats(feats, pick_bucket)]
             ))
             d_star = int(in_bucket[k_valid - prior])
-        yield from _unranked_rows(_sorted_feats(feats, spec, d_star))
+        yield from _unranked_rows(_sorted_feats(feats, spec, d_star), spec)
 
     # -- global mode --------------------------------------------------------
 
@@ -1846,19 +1826,10 @@ class Engine:
             pos_order = np.lexsort((acc_ids, -acc_sc))[:max_results]
             hit_ids = acc_ids[pos_order]
             hit_sc = acc_sc[pos_order]
-            meta = self._doc_meta(hit_ids)
-            rows = [
-                dict(
-                    doc_id=int(d), repo=meta[int(d)][0], path=meta[int(d)][1],
-                    rank=i + 1, score=float(s), bm25_score=float(s),
-                    matched_terms=[
-                        t for t in terms
-                        if t in matched and d in matched[t]
-                    ],
-                )
-                for i, (d, s) in enumerate(zip(hit_ids, hit_sc))
-            ]
-            return _dicts_to_result(rows)
+            mask = np.stack(
+                [np.isin(hit_ids, matched.get(t, ())) for t in terms], axis=1
+            )
+            return self._global_result(hit_ids, hit_sc, mask, terms)
 
         postings = self._read_postings(terms)
         if not postings:
@@ -1866,12 +1837,9 @@ class Engine:
         n_docs = self._stats["n_docs"]
         avgdl = self._stats["avgdl"]
 
-        # doc lengths for the involved docs only
         all_ids = np.unique(
             np.concatenate([p[0] for p in postings.values()]).astype(np.int64)
         )
-        dl_map = self._doc_lens(all_ids)
-
         idfs = {
             t: idf(
                 n_docs,
@@ -1879,8 +1847,6 @@ class Engine:
             )
             for t in postings
         }
-        # dense local indexing of candidate doc ids
-        pos = {int(d): i for i, d in enumerate(all_ids)}
         tf_mat = np.zeros((len(terms), all_ids.size), dtype=np.float64)
         for ti_, t in enumerate(terms):
             if t not in postings:
@@ -1889,7 +1855,8 @@ class Engine:
             tf = (tfb & 0xF) + (tfb >> 4)
             idxs = np.searchsorted(all_ids, ids.astype(np.int64))
             tf_mat[ti_, idxs] = tf
-        dls = np.array([dl_map.get(int(d), 0) for d in all_ids], dtype=np.float64)
+        # doc lengths for the involved docs only
+        dls = self._doc_lens(all_ids).astype(np.float64)
         norm = BM25_K1 * (1.0 - BM25_B + BM25_B * dls / avgdl)
 
         def term_scores(ti_: int, t: str) -> np.ndarray:
@@ -1918,9 +1885,7 @@ class Engine:
             if isinstance(expr, qp.And):
                 return ls + rs, lv & rv
             both = lv & rv
-            only_l = lv & ~rv
-            only_r = rv & ~lv
-            s = np.where(both, ls + rs, np.where(only_l, ls, rs))
+            s = np.where(both, ls + rs, np.where(lv, ls, rs))
             return s, lv | rv
 
         scores, valid = eval_expr(ranking_ast)
@@ -1930,42 +1895,35 @@ class Engine:
         order = hit_idx[np.lexsort((all_ids[hit_idx], -scores[hit_idx]))]
         if max_results is not None:
             order = order[:max_results]
-        hit_ids = all_ids[order]
-        meta = self._doc_meta(hit_ids)
-        rows = [
-            dict(
-                doc_id=int(d),
-                repo=meta[int(d)][0],
-                path=meta[int(d)][1],
-                rank=i + 1,
-                score=float(scores[j]),
-                bm25_score=float(scores[j]),
-                matched_terms=[t for t in terms if tf_mat[terms.index(t), j] > 0],
-            )
-            for i, (d, j) in enumerate(zip(hit_ids, order))
-        ]
-        return _dicts_to_result(rows)
+        return self._global_result(
+            all_ids[order], scores[order], tf_mat[:, order].T > 0, terms
+        )
 
-    def _doc_lens(self, ids: np.ndarray) -> dict[int, int]:
-        """doc_id -> doc_len for the given ids. Served from the engine's
-        cached dense array below LOCAL_DOCS_MAX (no per-query table read);
-        above it, a doc_id parquet predicate prunes row groups (doc files
-        are doc_id-sorted by construction)."""
+    def _global_result(self, ids: np.ndarray, scores: np.ndarray,
+                       mask: np.ndarray, terms: list[str]) -> pa.Table:
+        """Global-mode result table, ranked in ``ids`` order; ``mask`` marks
+        each row's matched ``terms``."""
+        repos, paths = self._doc_meta(ids)
+        return pa.table({
+            "doc_id": ids, "repo": repos, "path": paths,
+            "rank": np.arange(1, ids.size + 1), "score": scores,
+            "bm25_score": scores,
+            "matched_terms": _terms_column(mask, terms),
+        }, schema=RESULT_SCHEMA)
+
+    def _doc_lens(self, ids: np.ndarray) -> np.ndarray:
+        """doc_len of the given doc ids, in ids order. Served from the
+        engine's cached dense array below LOCAL_DOCS_MAX (no per-query table
+        read); read with _docs_at above it."""
         if self._stats["n_docs"] <= self.LOCAL_DOCS_MAX:
-            arr = self._doc_len_array()
-            return {int(i): int(arr[int(i)]) for i in ids}
-        tbl = self._docs_read_table(
-            columns=["doc_id", "doc_len"],
-            filters=[("doc_id", "in", [int(i) for i in ids])],
-        )
-        return dict(
-            zip(tbl.column("doc_id").to_pylist(), tbl.column("doc_len").to_pylist())
-        )
+            return self._doc_len_array()[ids]
+        return self._docs_at(ids, ["doc_len"])[0].to_numpy()
 
-    def _doc_meta(self, ids: np.ndarray) -> dict[int, tuple[str, str]]:
-        """doc_id -> (repo, path). Engine-cached object arrays below
-        LOCAL_DOCS_MAX (read once per engine, not per query); row-group
-        predicate read above it (final-result ids only — small)."""
+    def _doc_meta(self, ids: np.ndarray) -> list[pa.Array]:
+        """(repo, path) columns of the given doc ids, in ids order.
+        Engine-cached object arrays below LOCAL_DOCS_MAX (read once per
+        engine, not per query); read with _docs_at above it (final-result
+        ids only — small)."""
         if self._stats["n_docs"] <= self.LOCAL_DOCS_MAX:
             if getattr(self, "_meta_cache", None) is None:
                 tbl = self._docs_read_table(
@@ -1977,20 +1935,19 @@ class Engine:
                 repo[d] = tbl.column("repo").to_pylist()
                 path[d] = tbl.column("path").to_pylist()
                 self._meta_cache = (repo, path)
-            repo, path = self._meta_cache
-            return {int(i): (repo[int(i)], path[int(i)]) for i in ids}
+            return [pa.array(c[ids], pa.string()) for c in self._meta_cache]
+        return self._docs_at(ids, ["repo", "path"])
+
+    def _docs_at(self, ids: np.ndarray, columns: list[str]) -> list[pa.Array]:
+        """``columns`` of the given doc ids' docs rows, in ids order; a
+        doc_id parquet predicate prunes row groups (doc files are
+        doc_id-sorted by construction)."""
         tbl = self._docs_read_table(
-            columns=["doc_id", "repo", "path"],
+            columns=["doc_id", *columns],
             filters=[("doc_id", "in", [int(i) for i in ids])],
         )
-        return {
-            int(i): (r, p)
-            for i, r, p in zip(
-                tbl.column("doc_id").to_pylist(),
-                tbl.column("repo").to_pylist(),
-                tbl.column("path").to_pylist(),
-            )
-        }
+        at = pc.index_in(pa.array(ids, pa.int64()), value_set=tbl.column("doc_id"))
+        return [tbl.column(c).take(at) for c in columns]
 
 
 # ---------------------------------------------------------------------------
@@ -2198,13 +2155,6 @@ _FEATS_SCHEMA = pa.schema(
         ("n_bytes", pa.int64()),
     ]
 )
-
-
-def _bits_to_terms(bits: bytes, plan_terms: list[str]) -> list[str]:
-    if not bits or not plan_terms:
-        return []
-    arr = np.unpackbits(np.frombuffer(bits, dtype=np.uint8))[: len(plan_terms)]
-    return [t for t, b in zip(plan_terms, arr) if b]
 
 
 def _retokenize(tbl: pa.Table, specials, needed_terms, plan_terms):
@@ -2520,8 +2470,19 @@ class _FinishSpec:
     shift: int  # canonical candidate key: doc_id << shift | ord
     sort_cols: tuple[str, ...]  # file order of unranked rows (cand_key last)
     row_cols: tuple[str, ...]  # feats columns a finished row carries
+    size_col: str  # the bytes the limits count
     schema: pa.Schema  # the feats schema
     boost: Callable[[pa.Table], np.ndarray] | None = None  # per-row factor
+
+    @functools.cached_property
+    def empty(self) -> pa.Table:
+        """An empty finished table: the row columns, rank (null when
+        unranked) and the two scores."""
+        return pa.schema(
+            [self.schema.field(c) for c in self.row_cols]
+            + [("rank", pa.int64()), ("score", pa.float64()),
+               ("bm25_score", pa.float64())]
+        ).empty_table()
 
 
 def _cand_keys(tbl: pa.Table, shift: int) -> np.ndarray:
@@ -2535,14 +2496,16 @@ def _map_feats(feats: pa.Table | rd.Dataset, fn) -> list[pa.Table]:
     """``fn`` over every block of the feats: one in-process call on a
     table, one Ray Data map_batches job over a Dataset. Returns the
     non-empty outputs (Ray forwards zero-row blocks without calling ``fn``,
-    keeping their upstream schema)."""
+    keeping their upstream schema). The job is materialized first: on a lazy
+    Dataset ``to_arrow_refs`` fetches the schema by running the map again
+    under a limit and cancelling it, and those cancellations can crash the
+    Ray 2.49 driver (a reference_count.cc / task_manager.cc check)."""
     if isinstance(feats, pa.Table):
         outs = [fn(feats)] if feats.num_rows else []
     else:
-        outs = [
-            ray.get(r)
-            for r in feats.map_batches(fn, batch_format="pyarrow").to_arrow_refs()
-        ]
+        outs = ray.get(
+            feats.map_batches(fn, batch_format="pyarrow").materialize().to_arrow_refs()
+        )
     return [t for t in outs if t.num_rows > 0]
 
 
@@ -2572,61 +2535,111 @@ def _sorted_feats(feats: pa.Table | rd.Dataset, spec: _FinishSpec, min_key: int 
     )
 
 
-def _unranked_rows(batches):
-    """Finished rows, unranked (rank None, zero scores), from sorted batches."""
-    for batch in batches:
-        for r in batch.to_pylist():
-            r.update(rank=None, score=0.0, bm25_score=0.0)
-            yield r
+def _finished(tbl, spec: _FinishSpec, rank, score, bm25) -> pa.Table:
+    """A finished table: ``tbl``'s row columns, the rank and the scores."""
+    return pa.Table.from_arrays(
+        [*tbl.select(list(spec.row_cols)).columns, rank, score, bm25],
+        schema=spec.empty.schema,
+    )
 
 
-def _apply_limits_rows(rows, size_col, n_matched, max_results, max_bytes,
-                       max_tokens, max_iter=None):
-    """Running-total limits in result order (search_limiter.rs:22-226) over
-    a row stream, read no further than the limits need; token estimate =
-    bytes/4 (search_limiter.rs:151; tiktoken unavailable here — documented
-    deviation, see oracle.estimate_tokens). Without max_results at most
-    ``max_iter`` rows are examined. Returns the admitted rows and the
-    LimitedSearchResults record (models.rs:2-22): the applied limits with
-    their running totals, and how many of the ``n_matched`` rows the limits
-    cut."""
+def _unranked_rows(batches, spec: _FinishSpec):
+    """Unranked finished tables (null rank, zero scores) of sorted batches."""
+    for b in batches:
+        zeros = pa.array(np.zeros(b.num_rows))
+        yield _finished(b, spec, pa.nulls(b.num_rows, pa.int64()), zeros, zeros)
+
+
+def _apply_limits(tables, spec: _FinishSpec, n_matched, max_results,
+                  max_bytes, max_tokens, max_iter=None):
+    """Running-total limits in result order (search_limiter.rs:22-226): each
+    finished table of the stream is cut with cumulative sums of its size
+    column and of the bytes/4 token estimate (search_limiter.rs:151;
+    tiktoken is unavailable, see oracle.estimate_tokens), reading no table
+    past the limits. Without max_results at most ``max_iter`` rows are
+    examined. Returns the admitted rows and the LimitedSearchResults record
+    (models.rs:2-22): the limits with their running totals, and how many of
+    the ``n_matched`` rows they cut."""
     if max_results is None and max_bytes is None and max_tokens is None:
-        return list(rows), _NO_LIMITS
-    out, total_bytes, total_tokens = [], 0, 0
-    # islice never reads the row after the last one it yields
-    for r in itertools.islice(rows, max_results if max_results is not None else max_iter):
-        size = r[size_col]
-        toks = size // 4
-        if out and (
-            (max_bytes is not None and total_bytes + size > max_bytes)
-            or (max_tokens is not None and total_tokens + toks > max_tokens)
-        ):
+        return pa.concat_tables([spec.empty, *tables]), _NO_LIMITS
+    cap = max_results if max_results is not None else max_iter
+    out, n_out, total_bytes, total_tokens = [spec.empty], 0, 0, 0
+    for tbl in tables if cap != 0 else ():  # a zero cap reads no table
+        if cap is not None:
+            tbl = tbl.slice(0, cap - n_out)
+        size = tbl.column(spec.size_col).to_numpy()
+        cum_bytes = total_bytes + np.cumsum(size)
+        cum_tokens = total_tokens + np.cumsum(size // 4)
+        ok = np.ones(size.size, dtype=bool)
+        if max_bytes is not None:
+            ok &= cum_bytes <= max_bytes
+        if max_tokens is not None:
+            ok &= cum_tokens <= max_tokens
+        ok[:1] |= n_out == 0  # the first row is always admitted
+        k = int(np.argmin(ok)) if not ok.all() else ok.size
+        if k:
+            out.append(tbl.slice(0, k))
+            n_out += k
+            total_bytes, total_tokens = int(cum_bytes[k - 1]), int(cum_tokens[k - 1])
+        if k < ok.size or n_out == cap:
             break
-        total_bytes += size
-        total_tokens += toks
-        out.append(r)
-    return out, dict(
+    return pa.concat_tables(out), dict(
         limits_applied=dict(
             max_results=max_results, max_bytes=max_bytes, max_tokens=max_tokens,
             total_bytes=total_bytes, total_tokens=total_tokens,
         ),
-        n_skipped_by_limits=max(n_matched - len(out), 0),
+        n_skipped_by_limits=max(n_matched - n_out, 0),
     )
 
 
-def _dedupe_files(rows: list[dict]) -> list[dict]:
-    """Whole-file contained-dedup (block_merging.rs:17-118): the first row
-    of each file stays and takes the union of the file's matched terms."""
-    first: dict[str, dict] = {}
-    for r in rows:
-        key = f"{r['repo']}/{r['path']}"
-        if key in first:
-            first[key]["matched_terms"] = sorted(
-                set(first[key]["matched_terms"]) | set(r["matched_terms"])
-            )
-        else:
-            first[key] = r
-    return list(first.values())
+def _unpack_bits(bits: pa.ChunkedArray, n_terms: int) -> np.ndarray:
+    """Packed per-plan-term bitmasks -> (rows, n_terms) bool matrix with one
+    np.unpackbits. A row's bits are np.packbits of its plan-term mask
+    (fixed width) or empty (no terms reported)."""
+    bits = bits.combine_chunks()
+    offsets = np.frombuffer(bits.buffers()[1], np.int32, len(bits) + 1, bits.offset * 4)
+    has = np.diff(offsets) > 0
+    mask = np.zeros((len(bits), n_terms), dtype=bool)
+    if has.any():
+        data = np.frombuffer(bits.buffers()[2], np.uint8)[offsets[0] : offsets[-1]]
+        mask[has] = np.unpackbits(data.reshape(int(has.sum()), -1), axis=1)[:, :n_terms]
+    return mask
+
+
+def _terms_column(mask: np.ndarray, terms: list[str]) -> pa.Array:
+    """list<string> column of each row's ``terms`` where the (rows, terms)
+    ``mask`` is True, in terms order."""
+    _, c = np.nonzero(mask)
+    offsets = np.zeros(mask.shape[0] + 1, dtype=np.int32)
+    np.cumsum(mask.sum(axis=1), out=offsets[1:])
+    return pa.ListArray.from_arrays(
+        pa.array(offsets), pa.array(np.asarray(terms, dtype=object)[c], pa.string())
+    )
+
+
+def _doc_result(tbl: pa.Table, plan_terms: list[str], ranked: bool) -> pa.Table:
+    """Finished doc rows -> RESULT_SCHEMA, column by column. matched_terms
+    unpack from kws_bits on ranked rows and from matched_bits on the others,
+    in plan-term order, which is alphabetical (query.rs:139-144). A ranked
+    result then gets the whole-file contained dedup (block_merging.rs:17-118;
+    oracle.py): the first row of each (repo, path) stays and lists the
+    sorted union of that file's terms."""
+    bits = pc.if_else(pc.is_null(tbl["rank"]), tbl["matched_bits"], tbl["kws_bits"])
+    mask = _unpack_bits(bits, len(plan_terms))
+    if ranked and tbl.num_rows > 1:
+        key = pc.binary_join_element_wise(tbl.column("repo"), tbl.column("path"), "/")
+        files = pc.unique(key)  # first-appearance order
+        if len(files) < tbl.num_rows:
+            code = pc.index_in(key, value_set=files).to_numpy()
+            union = np.zeros((len(files), len(plan_terms)), dtype=bool)
+            np.logical_or.at(union, code, mask)
+            mask = union
+            tbl = tbl.take(pa.array(np.unique(code, return_index=True)[1]))
+    return pa.Table.from_arrays(
+        [tbl.column(c) for c in RESULT_SCHEMA.names[:-1]]
+        + [_terms_column(mask, plan_terms)],
+        schema=RESULT_SCHEMA,
+    )
 
 
 def _node_type_boost(tbl: pa.Table) -> np.ndarray:
@@ -2643,6 +2656,7 @@ _DOC_FINISH = _FinishSpec(
     shift=0,
     sort_cols=("file_key",),
     row_cols=("doc_id", "repo", "path", "kws_bits", "matched_bits", "n_bytes"),
+    size_col="n_bytes",
     schema=_FEATS_SCHEMA,
 )
 _BLOCK_FINISH = _FinishSpec(
@@ -2650,6 +2664,7 @@ _BLOCK_FINISH = _FinishSpec(
     sort_cols=("file_key", "start"),
     row_cols=("doc_id", "repo", "path", "start", "end", "node_type",
               "matched_keywords", "matched_lines", "n_code_bytes"),
+    size_col="n_code_bytes",
     schema=_BLOCK_FEATS_SCHEMA,
     boost=_node_type_boost,
 )
@@ -2716,22 +2731,6 @@ def _score_feats_vectorized(feats_tbl, ranking_ast, ranking_terms, idfs, avgdl,
     cov = np.minimum(but / n_queries, 1.0) if n_queries > 0 else np.zeros(n)
     boosted = bm25 * (1.0 + cov**1.5 * 2.0)
     return np.asarray(bm25, dtype=np.float64), boosted, valid
-
-
-def _dicts_to_result(rows) -> pa.Table:
-    return pa.table(
-        {
-            "doc_id": pa.array([r["doc_id"] for r in rows], pa.int64()),
-            "repo": pa.array([r["repo"] for r in rows], pa.string()),
-            "path": pa.array([r["path"] for r in rows], pa.string()),
-            "rank": pa.array([r["rank"] for r in rows], pa.int64()),
-            "score": pa.array([r["score"] for r in rows], pa.float64()),
-            "bm25_score": pa.array([r["bm25_score"] for r in rows], pa.float64()),
-            "matched_terms": pa.array(
-                [r["matched_terms"] for r in rows], pa.list_(pa.string())
-            ),
-        }
-    )
 
 
 def search(index_dir: str, queries, **kwargs) -> pa.Table:

@@ -173,18 +173,27 @@ def test_seen_parity(t2_rows, t2_index):
 
 def test_maxscore_matches_exhaustive(t2_index):
     """MaxScore pruned top-k (block-max bounds) == exhaustive global
-    scoring, ids and order identical, scores equal to float tolerance."""
+    scoring, ids, order and matched terms identical, scores equal to float
+    tolerance; both are the same when doc lengths and (repo, path) come
+    from parquet predicate reads (LOCAL_DOCS_MAX = 0)."""
     import numpy as np
 
     engine = Engine(t2_index)
+    on_disk = Engine(t2_index)
+    on_disk.LOCAL_DOCS_MAX = 0
     for q in ["keywordAlpha keywordBeta", "zetaTerm", "parse JSON html"]:
         pruned = engine.search([q], mode="global", max_results=10).to_pylist()
         full = engine.search([q], mode="global").to_pylist()[:10]
         assert [r["doc_id"] for r in pruned] == [r["doc_id"] for r in full], q
+        assert [r["matched_terms"] for r in pruned] == [
+            r["matched_terms"] for r in full], q
         assert np.allclose(
             [r["score"] for r in pruned], [r["score"] for r in full],
             rtol=1e-9,
         ), q
+        for opts in ({"max_results": 10}, {}):
+            assert on_disk.search([q], mode="global", **opts).equals(
+                engine.search([q], mode="global", **opts)), q
 
 
 @pytest.mark.parametrize("query", ["keywordAlpha", "zetaTerm OR whitelist", "auth"])

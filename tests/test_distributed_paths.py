@@ -138,6 +138,46 @@ def test_plain_term_injection_uses_python_lowercase(tmp_path, ray_session):
                          "ifoo OR bar")
 
 
+def test_whole_file_dedup_matches_oracle(tmp_path, ray_session):
+    """Two commits of one (repo, path) match with different terms. A ranked
+    result keeps that file's first row with the sorted union of both rows'
+    terms, and single-row files keep their terms in plan-term order;
+    files_only keeps both rows. Engine == oracle.py in process and with
+    every LOCAL_* crossover at 0."""
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    from probe_ray.build import build_index
+
+    rows = [
+        dict(repo="r", path=p, commit=c, lang="rust", content=text)
+        for p, c, text in [
+            ("src/a.rs", "c1", "fn gamma() { gamma(); gamma(); }\n"),
+            ("src/a.rs", "c2", "fn alpha() { beta(); }\n"),
+            ("src/b.rs", "c1", "fn beta() { gamma(); }\n"),
+            ("src/c.rs", "c1", "fn delta() { omega(); }\n"),
+        ]
+    ]
+    corpus = tmp_path / "dup.parquet"
+    pq.write_table(pa.Table.from_pylist(rows), str(corpus))
+    index = build_index(str(corpus), str(tmp_path / "idx"))
+    distributed = Engine(index)
+    for name in dir(Engine):
+        if name.startswith("LOCAL_"):
+            setattr(distributed, name, 0)
+    query = ["gamma OR beta OR alpha"]
+    ranked = oracle_search(rows, query)
+    assert [(h.path, list(h.matched_terms)) for h in ranked] == [
+        ("src/a.rs", ["alpha", "beta", "gamma"]), ("src/b.rs", ["beta", "gamma"]),
+    ]
+    assert len(oracle_search(rows, query, files_only=True)) == 3
+    for opts in ({}, {"files_only": True}):
+        expected = oracle_search(rows, query, **opts)
+        for engine in (Engine(index), distributed):
+            assert_same_hits(engine.search(query, **opts).to_pylist(), expected,
+                             f"{query} {opts}")
+
+
 def _feats_layouts(feats, monkeypatch):
     """One feats set three ways: the in-process table; a materialized
     Dataset of 17-row blocks (one map task per block); and a lazy Dataset
@@ -193,15 +233,20 @@ def test_flagged_rows_same_in_process_and_on_ray(t2_index, ray_session, monkeypa
     ast, _ = qp.parse_query("+foo", False)
     engine = Engine(t2_index)
 
+    k_valid = sum(1 for t in tf if t[0])
+
     def finish(f):
+        tables = list(engine._ranked_rows(f, S._DOC_FINISH, ast, ["foo"], 1, cap=None))
+        # one ranked table first, then only unranked ones
+        assert tables[0].num_rows == k_valid
+        assert all(t.column("rank").null_count == t.num_rows for t in tables[1:])
         return [
             (r["doc_id"], r["rank"], r["score"], r["bm25_score"])
-            for r in engine._ranked_rows(f, S._DOC_FINISH, ast, ["foo"], 1, cap=None)
+            for r in pa.concat_tables(tables).to_pylist()
         ]
 
     local, *on_ray = (finish(f) for f in _feats_layouts(feats, monkeypatch))
     assert on_ray == [local, local]
-    k_valid = sum(1 for t in tf if t[0])
     assert [r[1] for r in local] == list(range(1, k_valid + 1)) + [None] * (120 - k_valid)
     tail = sorted(zip(files[k_valid:], ids[k_valid:]))
     assert [r[0] for r in local[k_valid:]] == [d for _, d in tail]
@@ -251,12 +296,16 @@ def test_block_finishes_keep_same_start_order(t2_index, ray_session, monkeypatch
     k_valid = sum(1 for r in rows if r["tf"][0])
     ranked = []
     for f in _feats_layouts(feats, monkeypatch):
-        got = list(engine._ranked_rows(f, S._BLOCK_FINISH, ast, ["foo"], 1, cap=None))
+        got = pa.concat_tables(
+            engine._ranked_rows(f, S._BLOCK_FINISH, ast, ["foo"], 1, cap=None)
+        ).to_pylist()
         ranked.append([(span(r), r["rank"], r["score"]) for r in got])
         assert [r["rank"] for r in got] == (
             list(range(1, k_valid + 1)) + [None] * (len(rows) - k_valid)
         )
         assert [span(r) for r in got[k_valid:]] == in_file_order(rows[k_valid:])
-        exact = list(S._unranked_rows(S._sorted_feats(f, S._BLOCK_FINISH)))
+        exact = pa.concat_tables(S._unranked_rows(
+            S._sorted_feats(f, S._BLOCK_FINISH), S._BLOCK_FINISH
+        )).to_pylist()
         assert [span(r) for r in exact] == in_file_order(rows)
     assert ranked[1:] == [ranked[0], ranked[0]]

@@ -206,3 +206,69 @@ def test_structparse_never_crashes_and_spans_in_bounds(lines, ext):
     for s in spans:
         assert 1 <= s.start <= s.end <= max(len(flat), 1), (s, ext)
     assert spans == sp.structural_spans(flat, ext)
+
+
+_limit = st.one_of(st.none(), st.just(0), st.integers(1, 400), st.integers(5_000, 10**6))
+
+
+@given(st.lists(st.integers(0, 300), max_size=40), _limit, _limit, _limit,
+       st.one_of(st.none(), st.integers(0, 30)), st.data())
+@settings(max_examples=300, deadline=None)
+def test_table_limiter_matches_oracle_limits(sizes, max_results, max_bytes,
+                                             max_tokens, max_iter, data):
+    """search._apply_limits over a stream of 1-4 finished tables equals
+    oracle.apply_limits: the admitted rows, the running totals and the
+    limit-skip count; a limiter that stops on a limit reads no table past
+    the one holding the last row it examines."""
+    from types import SimpleNamespace
+
+    import pyarrow as pa
+
+    from probe_ray import oracle
+    from probe_ray import search as S
+
+    spec = S._DOC_FINISH
+    n = len(sizes)
+    table = pa.Table.from_pydict({
+        "doc_id": list(range(n)), "repo": ["r"] * n,
+        "path": [f"f{i}" for i in range(n)], "kws_bits": [b""] * n,
+        "matched_bits": [b""] * n, "n_bytes": sizes,
+        "rank": list(range(1, n + 1)), "score": [1.0] * n, "bm25_score": [1.0] * n,
+    }, schema=spec.empty.schema)
+    cuts = sorted(data.draw(st.lists(st.integers(0, n), max_size=3)))
+    bounds = [0, *cuts, n]
+    tables = [table.slice(a, b - a) for a, b in zip(bounds, bounds[1:])]
+    pulled = []
+
+    def stream():
+        for t in tables:
+            pulled.append(t)
+            yield t
+
+    got, meta = S._apply_limits(stream(), spec, n, max_results, max_bytes,
+                                max_tokens, max_iter=max_iter)
+
+    limited = not (max_results is None and max_bytes is None and max_tokens is None)
+    examined = n if max_results is not None or max_iter is None else min(n, max_iter)
+    hits = [oracle.SearchHit(i, "r", f"f{i}", i + 1, 1.0, 1.0, [])
+            for i in range(examined if limited else n)]
+    docs = {i: SimpleNamespace(content="x" * s) for i, s in enumerate(sizes)}
+    want = oracle.apply_limits(hits, docs, max_results, max_bytes, max_tokens)
+    assert got.column("doc_id").to_pylist() == [h.doc_id for h in want]
+    if not limited:
+        assert meta == S._NO_LIMITS
+        return
+    kept = [sizes[h.doc_id] for h in want]
+    assert meta == dict(
+        limits_applied=dict(
+            max_results=max_results, max_bytes=max_bytes, max_tokens=max_tokens,
+            total_bytes=sum(kept), total_tokens=sum(s // 4 for s in kept),
+        ),
+        n_skipped_by_limits=n - len(want),
+    )
+    # rows examined: the admitted ones, plus the one a limit refused
+    if max_results is not None:
+        examined = min(examined, max_results)
+    seen = min(len(want) + 1, examined)
+    if seen < n:
+        assert len(pulled) == next(j for j, b in enumerate(bounds) if b >= seen)
