@@ -1,34 +1,33 @@
 """Distributed inverted-index build — Ray Data native.
 
-Pipeline (SURVEY.md §7.1, all stages streaming Arrow batches):
+Pipeline (SURVEY.md §7.1, Arrow batches throughout):
 
   read_parquet(corpus)
     -> map_batches(guard + blank long lines)          [file_guard semantics]
-    -> sort(repo, path, commit)                        [deterministic doc_id]
-    -> per-block id assignment (prefix-sum offsets)
-    -> map_batches(tokenize)                           [the hot stage]
-    -> docs table (parquet, partitioned)
+    -> materialize, driver sort of the pulled keys     [deterministic doc_id]
+    -> one Ray task per block: ids, tokenize, write    [the hot stage]
+    -> docs table (parquet, one file per block)
     -> map_batches(postings partials)                  [per-batch combine]
     -> sort(term, salt).map_batches(run merge, encode once)
     -> segments table (parquet, partitioned by shard)
   + stats.json (n_docs, sum_dl, avgdl) + manifest.json (lineage, resume)
 
 Scale notes:
-- The ONLY all-to-all shuffles are the doc-id sort and the (term, salt)
-  posting sort (SURVEY.md §7.3). Postings are pre-combined per batch into
-  one row per (term, salt) run — list<uint64> ids, list<uint8> tfs — BEFORE
-  the shuffle, so the term string moves once per run instead of once per
-  posting, and the merger encodes each list once (no per-batch encode,
-  decode and re-encode).
+- The ONLY all-to-all shuffles are the (term, salt) posting sort and, past
+  DRIVER_KEY_SORT_MAX rows, a doc-id sort (SURVEY.md §7.3). Postings are
+  pre-combined per batch into one row per (term, salt) run — list<uint64>
+  ids, list<uint8> tfs — BEFORE the shuffle, so the term string moves once
+  per run instead of once per posting, and the merger encodes each list
+  once (no per-batch encode, decode and re-encode).
 - Hot-term skew ('fn', 'import'-class terms have df ≈ N): terms whose
   sampled df exceeds ``hot_df_threshold`` are salted into
   ``salt_buckets`` doc-id-range groups; their salted blobs are stored
   side-by-side and concatenated at read time (doc-id ranges are ordered by
   salt, so no re-sort is needed). SURVEY.md §5 "Skew".
 - doc_id assignment needs a global order the Dataset API cannot express
-  directly; after the sort we use the public ``to_arrow_refs`` + per-block
-  Ray tasks to add ids with driver-side prefix sums (only block COUNTS touch
-  the driver).
+  directly; the docs stage runs plain Ray tasks over the materialized
+  blocks (``to_arrow_refs``), past DRIVER_KEY_SORT_MAX with driver-side
+  prefix sums of the sorted blocks' row counts.
 - Resumability: every stage writes a manifest with an input fingerprint;
   rebuilding with the same fingerprint skips completed stages
   (write-temp-then-rename for atomicity).
@@ -51,6 +50,7 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
+import pyarrow.dataset as pads
 import pyarrow.parquet as pq
 import ray
 import ray.data as rd
@@ -457,13 +457,13 @@ def _filter_keys(keys_ref, keep_members: bool = True):
     return run
 
 
-def _set_doc_ids(keys_ref, offset: int = 0):
-    """Map fn: doc_id = offset + the row key's position in the broadcast
-    sorted key array (replacing a stored doc_id column)."""
+def _set_doc_ids(keys_ref):
+    """Map fn: doc_id = the row key's position in the broadcast sorted key
+    array (replacing a stored doc_id column)."""
 
     def run(batch: pa.Table) -> pa.Table:
         ids = pa.array(
-            offset + np.searchsorted(ray.get(keys_ref), _triple_keys(batch)),
+            np.searchsorted(ray.get(keys_ref), _triple_keys(batch)),
             pa.int64(),
         )
         i = batch.schema.get_field_index("doc_id")
@@ -484,9 +484,9 @@ def _count_rows(table: pa.Table) -> int:
 
 
 @ray.remote
-def _add_ids(table: pa.Table, offset: int) -> pa.Table:
-    ids = pa.array(np.arange(offset, offset + table.num_rows, dtype=np.int64))
-    return table.append_column("doc_id", ids)
+def _block_keys(table: pa.Table) -> np.ndarray:
+    # an empty block may carry no columns at all
+    return _triple_keys(table) if table.num_rows else np.array([], object)
 
 
 # keys-on-driver id assignment is used below this row count; above it, the
@@ -494,49 +494,58 @@ def _add_ids(table: pa.Table, offset: int) -> pa.Table:
 DRIVER_KEY_SORT_MAX = 5_000_000
 
 
-def assign_doc_ids(ds: rd.Dataset) -> rd.Dataset:
-    """Deterministic dense doc ids by (repo, path, commit) order.
+def assign_doc_ids(ds: rd.Dataset):
+    """Deterministic dense doc ids by (repo, path, commit) order, as
+    ``(blocks, keys_ref)``: the materialized (ref, id offset) blocks and a
+    broadcast sorted key array or None. A row's doc id is its block's
+    offset plus its key's position in that array or, without one, plus its
+    row number (``_write_docs``).
 
     Two strategies:
     - small/medium corpora: the (repo, path, commit) KEY table is tiny
-      relative to content, so sort the keys on the driver and broadcast a
-      key->id dict (no content moves through a shuffle at all);
-    - huge corpora: distributed sort of the full rows, then per-block offset
-      ids via small Ray tasks (only block COUNTS touch the driver). The
-      Dataset API has no order-aware global index, hence to_arrow_refs.
+      relative to content, so pull the keys and sort them on the driver
+      (no content moves through a shuffle at all);
+    - huge corpora: distributed sort of the full rows; only the block row
+      COUNTS touch the driver.
     """
     ds = ds.materialize()
-    n = ds.count()
-    if n == 0:
-        # zero-row corpus: nothing to order — just keep the schema stable
-        # (the doc-length writer and stats handle n_docs == 0 downstream)
-        return ds.map_batches(
-            lambda b: b.append_column(
-                "doc_id", pa.array([0] * len(b), pa.int64())
-            ),
-            batch_format="pyarrow",
-        )
-    if n <= DRIVER_KEY_SORT_MAX:
-        # a SORTED numpy key array broadcasts with near-zero
-        # deserialization cost (vs a python dict, which every task would
-        # re-deserialize) and doc_id = searchsorted position
-        keys_tbl = pa.concat_tables([
-            ray.get(r) for r in ds.map_batches(
-                lambda b: b.select(["repo", "path", "commit"]),
-                batch_format="pyarrow",
-            ).to_arrow_refs()
-        ])
-        keys_ref = ray.put(np.sort(_triple_keys(keys_tbl)))
-        return ds.map_batches(_set_doc_ids(keys_ref), batch_format="pyarrow")
+    if ds.count() > DRIVER_KEY_SORT_MAX:
+        refs = ds.sort(["repo", "path", "commit"]).materialize().to_arrow_refs()
+        counts = ray.get([_count_rows.remote(r) for r in refs])
+        offsets = np.concatenate([[0], np.cumsum(counts)[:-1]])
+        return [(r, int(off)) for r, off in zip(refs, offsets)], None
+    refs = ds.to_arrow_refs()
+    keys = ray.get([_block_keys.remote(r) for r in refs])
+    # a SORTED numpy key array broadcasts with near-zero deserialization
+    # cost (vs a python dict) and doc_id = searchsorted position
+    keys_ref = ray.put(np.sort(np.concatenate([np.array([], object), *keys])))
+    return [(r, 0) for r in refs], keys_ref
 
-    sorted_ds = ds.sort(["repo", "path", "commit"]).materialize()
-    refs = sorted_ds.to_arrow_refs()
-    counts = ray.get([_count_rows.remote(r) for r in refs])
-    offsets = np.concatenate([[0], np.cumsum(counts)[:-1]]) if counts else []
-    out_refs = [
-        _add_ids.remote(r, int(off)) for r, off in zip(refs, offsets)
-    ]
-    return rd.from_arrow_refs(out_refs)
+
+@ray.remote
+def _write_docs_block(block: pa.Table, keys, offset: int, batch_size: int,
+                      path: str) -> None:
+    if not block.num_rows:
+        return
+    ids = (np.searchsorted(keys, _triple_keys(block)) if keys is not None
+           else np.arange(block.num_rows))
+    block = block.append_column("doc_id", pa.array(ids + offset, pa.int64()))
+    pq.write_table(pa.concat_tables([
+        tokenize_batch(block.slice(s, batch_size))
+        for s in range(0, block.num_rows, batch_size)
+    ]), path)
+
+
+def _write_docs(blocks, keys_ref, batch_size: int, part: str) -> None:
+    """The docs table from guarded blocks: one Ray task per non-empty block
+    sets its doc ids (``assign_doc_ids``), tokenizes it in ``batch_size``
+    slices and writes it as one parquet file (file order = block order)."""
+    os.makedirs(part, exist_ok=True)
+    ray.get([
+        _write_docs_block.remote(ref, keys_ref, off, batch_size,
+                                 os.path.join(part, f"docs-{i:06d}.parquet"))
+        for i, (ref, off) in enumerate(blocks)
+    ])
 
 
 # ---------------------------------------------------------------------------
@@ -544,28 +553,32 @@ def assign_doc_ids(ds: rd.Dataset) -> rd.Dataset:
 # ---------------------------------------------------------------------------
 
 def sample_hot_terms(
-    docs: rd.Dataset, threshold_frac: float = 0.05, sample_rows: int = 2000
+    docs_dir: str, threshold_frac: float = 0.05, sample_rows: int = 2000
 ) -> dict[str, int]:
     """Estimate hot terms from a deterministic prefix sample of the ALREADY
-    tokenized docs table (reads the tokens columns of ``sample_rows`` rows
-    only — ``limit`` stops the read early, unlike a random_sample that
-    scans everything): terms present in more than ``threshold_frac`` of
-    sampled docs get salted in the shuffle. Hot terms ('fn'/'import'-class)
-    are corpus-wide by nature, so a prefix sample finds them; salting is a
-    layout choice and never affects results."""
-    sample = (
-        docs.limit(sample_rows)
-        .map_batches(
-            lambda b: b.select(["tokens", "shadow_tokens"]), batch_format="pyarrow"
-        )
-        .take_all()
+    tokenized docs table: the tokens columns of its first ``sample_rows``
+    rows in file order, read on the driver (``head`` stops reading early,
+    unlike a random_sample that scans everything). Terms present in more
+    than ``threshold_frac`` of sampled docs get salted in the shuffle. Hot
+    terms ('fn'/'import'-class) are corpus-wide by nature, so a prefix
+    sample finds them; salting is a layout choice and never affects
+    results."""
+    sample = pads.dataset(docs_dir).head(
+        sample_rows, columns=["tokens", "shadow_tokens"]
     )
-    df: dict[str, int] = {}
-    for row in sample:
-        for t in set(row["tokens"]) | set(row["shadow_tokens"]):
-            df[t] = df.get(t, 0) + 1
-    cutoff = max(2, int(threshold_frac * len(sample)))
-    return {t: c for t, c in df.items() if c >= cutoff}
+    cols = [sample.column(c) for c in ("tokens", "shadow_tokens")]
+    terms = pc.dictionary_encode(pa.concat_arrays(
+        [pc.list_flatten(c).combine_chunks() for c in cols]
+    ))
+    rows = np.concatenate([pc.list_parent_indices(c).to_numpy() for c in cols])
+    # df = the number of distinct rows per term: unique (row, term) pairs
+    # as int codes (numpy holds less than an Arrow group_by here)
+    n = len(terms.dictionary)
+    pairs = np.unique(rows * n + terms.indices.to_numpy())
+    df = np.bincount(pairs % max(n, 1), minlength=n)
+    hot = np.flatnonzero(df >= max(2, int(threshold_frac * sample.num_rows)))
+    return dict(zip(terms.dictionary.take(pa.array(hot)).to_pylist(),
+                    df[hot].tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -901,7 +914,7 @@ def _write_tail(root: IndexPaths, st: _Stages, *, n_shards: int,
     first = [doc_lens, keys]
     if hot is None:  # the layout needs the hot terms and the doc count
         (n_docs, sum_dl), _, hot = _concurrently(
-            *first, lambda: sample_hot_terms(tok_ds, hot_threshold_frac)
+            *first, lambda: sample_hot_terms(root.docs_dir, hot_threshold_frac)
         )
         first = []
         salt_shift = 63
@@ -998,20 +1011,18 @@ def _write_json(path: str, obj: dict) -> None:
 
 
 def _corpus_docs(corpus, batch_size: int):
-    """Docs writer of a full build: guard, dense ids in key order, then
-    ONE streaming consume of the tokenize pipeline straight to parquet
-    (downstream stages re-read it with column pruning — content never
-    moves again)."""
+    """Docs writer of a full build: guard, then dense ids in key order and
+    tokenize in one Ray task per guarded block, each writing its own docs
+    file (downstream stages re-read them with column pruning — content
+    never moves again)."""
 
     def write(st: _Stages, part: str) -> None:
         ds = _as_dataset(corpus).map_batches(
             guard_batch, batch_format="pyarrow", batch_size=batch_size
         )
         with st.timed("guard_ids"):  # guard + id-assignment materialize
-            ds = assign_doc_ids(ds)
-        ds.map_batches(
-            tokenize_batch, batch_format="pyarrow", batch_size=batch_size
-        ).write_parquet(part, min_rows_per_file=8192)
+            blocks, keys_ref = assign_doc_ids(ds)
+        _write_docs(blocks, keys_ref, batch_size, part)
 
     return write
 
@@ -1192,7 +1203,7 @@ def _append_only_added(
                 .map_batches(guard_batch, batch_format="pyarrow",
                              batch_size=4096)
                 .map_batches(narrow, batch_format="pyarrow")
-                .to_arrow_refs()
+                .materialize().to_arrow_refs()
             )
             if t.num_rows > 0
         ]
@@ -1255,7 +1266,8 @@ def _append_only_added(
             for r in rd.read_parquet(
                 key_files,
                 columns=["repo", "path", "commit", "content_sha256"],
-            ).map_batches(collide, batch_format="pyarrow").to_arrow_refs()
+            ).map_batches(collide, batch_format="pyarrow")
+            .materialize().to_arrow_refs()
         )
         if t.num_rows > 0
     ] if key_files else []
@@ -1596,13 +1608,12 @@ def update_index(corpus, out_dir: str, *, batch_size: int = 256,
               else _as_dataset(corpus))
     # key filter on the RAW corpus rows, BEFORE guard: only added files
     # pay the guard's sha over their content
-    st.write_dir("docs", gen_tmp.docs_dir, lambda p: (
-        src_ds
-        .map_batches(_filter_keys(added_ref), batch_format="pyarrow")
-        .map_batches(guard_batch, batch_format="pyarrow", batch_size=batch_size)
-        .map_batches(_set_doc_ids(added_ref, offset), batch_format="pyarrow")
-        .map_batches(tokenize_batch, batch_format="pyarrow", batch_size=batch_size)
-        .write_parquet(p, min_rows_per_file=8192)
+    st.write_dir("docs", gen_tmp.docs_dir, lambda p: _write_docs(
+        [(r, offset) for r in src_ds
+         .map_batches(_filter_keys(added_ref), batch_format="pyarrow")
+         .map_batches(guard_batch, batch_format="pyarrow", batch_size=batch_size)
+         .materialize().to_arrow_refs()],
+        added_ref, batch_size, p,
     ))
     tail = _write_tail(
         gen_tmp, st, n_shards=int(stats["n_shards"]),

@@ -459,7 +459,8 @@ def extract_from_text(docs: rd.Dataset, text: str, *,
 
     parts = [
         ray.get(r)
-        for r in docs.map_batches(scan, batch_format="pyarrow").to_arrow_refs()
+        for r in docs.map_batches(scan, batch_format="pyarrow")
+        .materialize().to_arrow_refs()
     ]
     parts = [t for t in parts if t.num_rows]
     if not parts:

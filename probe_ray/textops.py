@@ -1255,7 +1255,8 @@ def minhash_lsh_dedup(
         t
         for t in (
             ray.get(r)
-            for r in labels_ds.sort(["cluster_id", "doc_id"]).to_arrow_refs()
+            for r in labels_ds.sort(["cluster_id", "doc_id"])
+            .materialize().to_arrow_refs()
         )
         if t.num_rows > 0
     ]
@@ -3797,7 +3798,7 @@ def temperature_sample(sf_dir: str, target_permille: int = 200) -> rd.Dataset:
     parts = (
         _docs(sf_dir, ["source"])
         .map_batches(src_counts, batch_format="pyarrow")
-        .to_arrow_refs()
+        .materialize().to_arrow_refs()
     )
     combined = pa.concat_tables(
         [t for t in map(ray.get, parts) if t.num_rows]
@@ -3874,7 +3875,7 @@ def props_json_stats(sf_dir: str) -> pa.Table:
     parts = (
         _events(sf_dir, ["event_type", "props"])
         .map_batches(partial, batch_format="pyarrow")
-        .to_arrow_refs()
+        .materialize().to_arrow_refs()
     )
     combined = pa.concat_tables(
         [t for t in map(ray.get, parts) if t.num_rows]

@@ -367,3 +367,85 @@ def test_segments_decode_to_reference_postings(t2_index):
                     np.array(ids, np.uint64), np.array(tfs, np.uint8))
                 assert (rows[0]["blob"], rows[0]["skip"],
                         rows[0]["block_max"]) == (blob, skip, bmax), k
+
+
+def _decoded_postings(seg_dir):
+    from probe_ray import codec
+
+    postings = {}
+    for f in glob.glob(seg_dir + "/**/*.parquet", recursive=True):
+        t = pq.read_table(f, columns=["term", "blob"])
+        for term, blob in zip(t.column("term").to_pylist(),
+                              t.column("blob").to_pylist()):
+            ids, tfs = codec.decode_postings(blob)
+            postings.setdefault(term, []).extend(zip(ids.tolist(), tfs.tolist()))
+    return {t: sorted(v) for t, v in postings.items()}
+
+
+def test_distributed_sort_ids_match_driver_sort(t2_index, tmp_path, monkeypatch):
+    """Past DRIVER_KEY_SORT_MAX the ids come from a distributed sort and
+    per-block offsets: the docs rows, doc lengths and decoded postings must
+    equal those of the default (driver key sort) build."""
+    import os
+
+    import probe_ray.build as B
+
+    monkeypatch.setattr(B, "DRIVER_KEY_SORT_MAX", 0)
+    corpus = os.path.join(os.path.dirname(t2_index.root), "corpus.parquet")
+    paths = B.build_index(corpus, str(tmp_path / "idx"), ngram_index=True)
+    assert pq.read_table(paths.docs_dir).sort_by("doc_id").equals(
+        pq.read_table(t2_index.docs_dir).sort_by("doc_id"))
+    assert np.array_equal(np.load(paths.doc_lens_path),
+                          np.load(t2_index.doc_lens_path))
+    assert _decoded_postings(paths.segments_dir) == \
+        _decoded_postings(t2_index.segments_dir)
+
+
+def test_docs_written_one_file_per_block(ray_session, tmp_path):
+    """The docs stage writes one file per non-empty guarded block (a corpus
+    file whose rows are all guarded away writes none), with one schema and
+    dense ids; the rows equal guard + tokenize over the whole corpus with
+    ids from the sorted keys."""
+    import pyarrow as pa
+    import pyarrow.dataset as pads
+
+    from probe_ray.build import (_triple_keys, build_index, guard_batch,
+                                 tokenize_batch)
+
+    cdir = tmp_path / "corpus"
+    cdir.mkdir()
+    for f in range(6):
+        pq.write_table(pa.table({
+            "repo": [f"org/r{f % 2}"] * 40,
+            "path": [f"src/m{f}_{i}.rs" for i in range(40)],
+            "commit": ["c" * 40] * 40,
+            "lang": ["rust"] * 40,
+            "content": [
+                f"fn load_{f}_{i}() {{ let x = {i}; }}\n"
+                + ("\x00" if f == 3 else "")
+                for i in range(40)
+            ],
+        }), str(cdir / f"part-{f}.parquet"))
+    paths = build_index(str(cdir), str(tmp_path / "idx"), batch_size=32)
+
+    files = sorted(glob.glob(paths.docs_dir + "/*.parquet"))
+    assert len(files) >= 2
+    assert len({pq.read_schema(f) for f in files}) == 1
+    assert all(pq.read_metadata(f).num_rows > 0 for f in files)
+    got = pads.dataset(files).to_table().sort_by("doc_id")
+    assert got.column("doc_id").to_pylist() == list(range(200))
+
+    guarded = guard_batch(pa.concat_tables(
+        pq.read_table(str(cdir / f"part-{f}.parquet")) for f in range(6)
+    ))
+    keys = _triple_keys(guarded)
+    ids = pa.array(np.searchsorted(np.sort(keys), keys), pa.int64())
+    want = tokenize_batch(guarded.append_column("doc_id", ids))
+    assert got.equals(want.sort_by("doc_id"))
+
+    # every row guarded away: a well-formed empty index
+    nul = tmp_path / "nul.parquet"
+    pq.write_table(pq.read_table(str(cdir / "part-3.parquet")), str(nul))
+    empty = build_index(str(nul), str(tmp_path / "empty"))
+    assert empty.stats()["n_docs"] == 0
+    assert glob.glob(empty.docs_dir + "/*.parquet") == []

@@ -272,3 +272,49 @@ def test_table_limiter_matches_oracle_limits(sizes, max_results, max_bytes,
     seen = min(len(want) + 1, examined)
     if seen < n:
         assert len(pulled) == next(j for j, b in enumerate(bounds) if b >= seen)
+
+
+def _hot_terms_loop(rows, threshold_frac, sample_rows):
+    """Reference: doc frequency of each term over the first ``sample_rows``
+    rows, counted per row over the set of its tokens and shadow tokens."""
+    sample = rows[:sample_rows]
+    df = {}
+    for toks, shadows in sample:
+        for t in set(toks) | set(shadows):
+            df[t] = df.get(t, 0) + 1
+    cutoff = max(2, int(threshold_frac * len(sample)))
+    return {t: c for t, c in df.items() if c >= cutoff}
+
+
+_terms = st.lists(st.sampled_from(["fn", "let", "x", "load", "ok", "é"]),
+                  max_size=6)
+
+
+@given(st.lists(st.lists(st.tuples(_terms, _terms), max_size=12),
+                min_size=1, max_size=3),
+       st.sampled_from([0.05, 0.3, 0.6]), st.integers(1, 30))
+@settings(max_examples=60, deadline=None)
+def test_hot_term_sample_matches_reference_loop(files, frac, sample_rows):
+    """sample_hot_terms' Arrow count equals the per-row set loop: repeated
+    tokens in a row, a term in both tokens and shadow_tokens, empty rows,
+    several docs files and fewer rows than ``sample_rows``."""
+    import os
+    import tempfile
+
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    from probe_ray.build import sample_hot_terms
+
+    with tempfile.TemporaryDirectory() as d:
+        for i, rows in enumerate(files):
+            pq.write_table(pa.table({
+                "tokens": pa.array([r[0] for r in rows],
+                                   pa.list_(pa.string())),
+                "shadow_tokens": pa.array([r[1] for r in rows],
+                                          pa.list_(pa.string())),
+            }), os.path.join(d, f"docs-{i:06d}.parquet"))
+        got = sample_hot_terms(d, frac, sample_rows)
+    want = _hot_terms_loop([r for rows in files for r in rows], frac,
+                           sample_rows)
+    assert got == want

@@ -766,3 +766,33 @@ def test_append_duplicate_identical_rows_rebuild(tmp_path):
     _write(c2, _rows(3) + dup + dup)
     p = update_index(str(c2), str(tmp_path / "idx2"))
     assert p.update_gens() == []  # rebuilt, not appended
+
+
+def test_write_path_runs_each_map_once(tmp_path, monkeypatch):
+    """A lazy map's ``to_arrow_refs()`` runs the map again under a limit to
+    fetch the schema, then cancels that run: no Ray Data job of a build, an
+    append update or a changed-file update may carry such a limit."""
+    from ray.data._internal.execution import streaming_executor as se
+
+    from probe_ray.build import build_index, update_index
+
+    plans = []
+    execute = se.StreamingExecutor.execute
+
+    def record(self, dag, *args, **kwargs):
+        plans.append(dag.dag_str)
+        return execute(self, dag, *args, **kwargs)
+
+    monkeypatch.setattr(se.StreamingExecutor, "execute", record)
+    cdir = _dir_corpus(tmp_path, "corpus", {"a.parquet": _rows(6)})
+    build_index(cdir, str(tmp_path / "idx"))
+    _write(os.path.join(cdir, "b.parquet"), _rows(3, start=40))
+    assert update_index(cdir, str(tmp_path / "idx")).stats()["metrics"][
+        "last_update"]["mode"] == "append"
+    rows = _rows(6)
+    rows[2]["content"] += "// one change\n"
+    _write(os.path.join(cdir, "a.parquet"), rows)
+    assert update_index(cdir, str(tmp_path / "idx")).stats()["metrics"][
+        "last_update"]["mode"] == "renumber"
+    assert plans
+    assert not [p for p in plans if "limit=1" in p], plans
