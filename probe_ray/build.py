@@ -47,7 +47,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.dataset as pads
@@ -494,57 +493,72 @@ def _block_keys(table: pa.Table) -> np.ndarray:
 DRIVER_KEY_SORT_MAX = 5_000_000
 
 
-def assign_doc_ids(ds: rd.Dataset):
-    """Deterministic dense doc ids by (repo, path, commit) order, as
-    ``(blocks, keys_ref)``: the materialized (ref, id offset) blocks and a
-    broadcast sorted key array or None. A row's doc id is its block's
-    offset plus its key's position in that array or, without one, plus its
-    row number (``_write_docs``).
+def _dense_ids(keys: list[np.ndarray], keep: np.ndarray | None = None,
+               first: int = 0) -> list[np.ndarray]:
+    """Per block of ``keys`` (triple keys in block order): each kept row's
+    id, dense from ``first`` in key order with equal keys in block then
+    row order (the order ``oracle.load_docs`` numbers them in), and -1 for
+    a row not kept (every row is kept without ``keep``)."""
+    flat = np.concatenate([np.array([], object), *keys])
+    rows = np.arange(flat.size) if keep is None else np.flatnonzero(keep)
+    ids = np.full(flat.size, -1, np.int64)
+    ids[rows[np.argsort(flat[rows], kind="stable")]] = np.arange(
+        first, first + rows.size)
+    return np.split(ids, np.cumsum([k.size for k in keys])[:-1])
+
+
+def assign_doc_ids(ds: rd.Dataset) -> list:
+    """Deterministic dense doc ids in (repo, path, commit) order, equal
+    triples in corpus read order, as the materialized guarded blocks of
+    ``ds``, each with its ids: one id per row, or the block's first id
+    when its rows are numbered in order (``_write_docs``).
 
     Two strategies:
     - small/medium corpora: the (repo, path, commit) KEY table is tiny
-      relative to content, so pull the keys and sort them on the driver
-      (no content moves through a shuffle at all);
+      relative to content, so pull the keys and stable-sort them on the
+      driver (no content moves through a shuffle at all);
     - huge corpora: distributed sort of the full rows; only the block row
       COUNTS touch the driver.
     """
+    # equal keys take block order, so the blocks must keep read order
+    ds.context.execution_options.preserve_order = True
     ds = ds.materialize()
     if ds.count() > DRIVER_KEY_SORT_MAX:
         refs = ds.sort(["repo", "path", "commit"]).materialize().to_arrow_refs()
         counts = ray.get([_count_rows.remote(r) for r in refs])
         offsets = np.concatenate([[0], np.cumsum(counts)[:-1]])
-        return [(r, int(off)) for r, off in zip(refs, offsets)], None
+        return [(r, int(off)) for r, off in zip(refs, offsets)]
     refs = ds.to_arrow_refs()
-    keys = ray.get([_block_keys.remote(r) for r in refs])
-    # a SORTED numpy key array broadcasts with near-zero deserialization
-    # cost (vs a python dict) and doc_id = searchsorted position
-    keys_ref = ray.put(np.sort(np.concatenate([np.array([], object), *keys])))
-    return [(r, 0) for r in refs], keys_ref
+    return list(zip(refs, _dense_ids(ray.get([_block_keys.remote(r)
+                                              for r in refs]))))
 
 
 @ray.remote
-def _write_docs_block(block: pa.Table, keys, offset: int, batch_size: int,
+def _write_docs_block(block: pa.Table, ids, batch_size: int,
                       path: str) -> None:
+    if isinstance(ids, int):
+        ids = np.arange(ids, ids + block.num_rows)
+    elif block.num_rows and (ids < 0).any():
+        block, ids = block.filter(pa.array(ids >= 0)), ids[ids >= 0]
     if not block.num_rows:
         return
-    ids = (np.searchsorted(keys, _triple_keys(block)) if keys is not None
-           else np.arange(block.num_rows))
-    block = block.append_column("doc_id", pa.array(ids + offset, pa.int64()))
+    block = block.append_column("doc_id", pa.array(ids, pa.int64()))
     pq.write_table(pa.concat_tables([
         tokenize_batch(block.slice(s, batch_size))
         for s in range(0, block.num_rows, batch_size)
     ]), path)
 
 
-def _write_docs(blocks, keys_ref, batch_size: int, part: str) -> None:
-    """The docs table from guarded blocks: one Ray task per non-empty block
-    sets its doc ids (``assign_doc_ids``), tokenizes it in ``batch_size``
-    slices and writes it as one parquet file (file order = block order)."""
+def _write_docs(blocks, batch_size: int, part: str) -> None:
+    """The docs table from guarded (ref, ids) blocks (``assign_doc_ids``;
+    a row with id -1 is left out): one Ray task per block sets its doc ids,
+    tokenizes it in ``batch_size`` slices and writes it as one parquet file
+    (file order = block order)."""
     os.makedirs(part, exist_ok=True)
     ray.get([
-        _write_docs_block.remote(ref, keys_ref, off, batch_size,
+        _write_docs_block.remote(ref, ids, batch_size,
                                  os.path.join(part, f"docs-{i:06d}.parquet"))
-        for i, (ref, off) in enumerate(blocks)
+        for i, (ref, ids) in enumerate(blocks)
     ])
 
 
@@ -719,8 +733,8 @@ class IndexPaths:
 
 
 def _file_sig(path: str) -> str:
-    """Per-file identity for the append-only corpus diff: size + mtime_ns
-    (the same signals the corpus fingerprint hashes, finer-grained)."""
+    """Per-file identity: size + mtime_ns. The corpus fingerprint hashes it
+    and the manifest records it per file for the update diff."""
     st = os.stat(path)
     return f"{st.st_size}:{st.st_mtime_ns}"
 
@@ -745,8 +759,7 @@ def _fingerprint(corpus, params: dict) -> str:
                 if p.endswith(".parquet")
             )
         for p in paths:
-            st = os.stat(p)
-            h.update(f"{p}:{st.st_size}:{int(st.st_mtime)}".encode())
+            h.update(f"{p}:{_file_sig(p)}".encode())
     else:
         # Dataset corpora: CONTENT fingerprint (row count + schema + sampled
         # row hashes) — a constant marker would silently reuse a stale index
@@ -1021,8 +1034,8 @@ def _corpus_docs(corpus, batch_size: int):
             guard_batch, batch_format="pyarrow", batch_size=batch_size
         )
         with st.timed("guard_ids"):  # guard + id-assignment materialize
-            blocks, keys_ref = assign_doc_ids(ds)
-        _write_docs(blocks, keys_ref, batch_size, part)
+            blocks = assign_doc_ids(ds)
+        _write_docs(blocks, batch_size, part)
 
     return write
 
@@ -1147,141 +1160,6 @@ def _read_manifest(paths: IndexPaths) -> dict:
 # Incremental update (segment append — the Lucene commit-point model)
 # ---------------------------------------------------------------------------
 
-#: append-only fast path: max delta keys pulled to the driver. Above it
-#: (a >2M-file drop in one update) the generic shuffle diff takes over —
-#: it is the corpus-scale path anyway.
-_APPEND_DRIVER_KEYS_MAX = 2_000_000
-
-
-def _append_only_added(
-    paths: "IndexPaths", new_files: list[str]
-) -> tuple[str, list[str] | None]:
-    """Resolve the added-doc set when every previously-indexed corpus file
-    is proven byte-identical (append-only update): guard ONLY the new
-    parquet files, pull their narrow keys to the driver (bounded by the
-    delta, capped at _APPEND_DRIVER_KEYS_MAX), and probe the stored key
-    side table for triple collisions with ONE broadcast map over it.
-
-    Returns (mode, added): mode "ok" with the added keys (\x00-joined),
-    "full" when the corpus carries null keys or a duplicate triple (a
-    collision with conflicting content is one: the old row is still in its
-    untouched file), or "fallback" when the fast path cannot decide (no key
-    side table yet, or the delta exceeds the driver cap) and the generic
-    shuffle diff must run."""
-    if not new_files:
-        return "ok", []
-    # delta-size guard from parquet FOOTERS (no data read)
-    n_delta = 0
-    for f in new_files:
-        try:
-            n_delta += pq.ParquetFile(f).metadata.num_rows
-        except Exception:
-            return "fallback", None
-    if n_delta > _APPEND_DRIVER_KEYS_MAX:
-        return "fallback", None
-    key_files = _parquet_files(paths.keys_dirs())
-    if not all(os.path.isdir(d) for d in paths.keys_dirs()):
-        return "fallback", None  # pre-side-table index (or older gen)
-
-    def narrow(batch: pa.Table) -> pa.Table:
-        return pa.table({
-            "repo": pc.cast(batch.column("repo"), pa.string()),
-            "path": pc.cast(batch.column("path"), pa.string()),
-            "commit": pc.cast(batch.column("commit"), pa.string()),
-            "sha": pc.cast(batch.column("content_sha256"), pa.string()),
-        })
-
-    _empty_keys = pa.table(
-        {c: pa.array([], pa.string())
-         for c in ("repo", "path", "commit", "sha")}
-    )
-    if n_delta:
-        parts = [
-            t for t in (
-                ray.get(r)
-                for r in rd.read_parquet(new_files)
-                .map_batches(guard_batch, batch_format="pyarrow",
-                             batch_size=4096)
-                .map_batches(narrow, batch_format="pyarrow")
-                .materialize().to_arrow_refs()
-            )
-            if t.num_rows > 0
-        ]
-        # guard_batch may drop EVERY delta row (NUL / oversized content):
-        # that is a clean no-op append, not an error
-        c_tbl = pa.concat_tables(parts) if parts else _empty_keys
-    else:
-        c_tbl = _empty_keys
-    if any(
-        c_tbl.column(c).null_count for c in ("repo", "path", "commit")
-    ):
-        return "full", None  # null keys: let the full path reject them
-    repo = c_tbl.column("repo").to_numpy(zero_copy_only=False)
-    path_ = c_tbl.column("path").to_numpy(zero_copy_only=False)
-    com = c_tbl.column("commit").to_numpy(zero_copy_only=False)
-    sha = c_tbl.column("sha").to_numpy(zero_copy_only=False)
-    k3 = np.array(
-        [f"{r}\x00{p}\x00{c}" for r, p, c in zip(repo, path_, com)],
-        dtype=object,
-    )
-    k4 = np.array([f"{a}\x00{s}" for a, s in zip(k3, sha)], dtype=object)
-    uniq4, first4, c4_counts = np.unique(
-        k4, return_index=True, return_counts=True
-    )
-    if (c4_counts > 1).any():
-        # byte-identical duplicate ROWS of one triple: pick() would keep
-        # both physical rows and assign them the same doc id, corrupting
-        # the generation's doc_lens slice — route through the rebuild,
-        # same as the conflicting-content duplicate
-        return "full", None
-    k3_of4 = k3[first4]
-    uniq3, c3_counts = np.unique(k3_of4, return_counts=True)
-    if (c3_counts > 1).any():
-        # one triple, several distinct contents: duplicate primary keys —
-        # the generic path routes this through a full rebuild too
-        return "full", None
-    sha_of3 = {k: s for k, s in zip(k3_of4, sha[first4])}
-    if uniq3.size == 0:
-        # every delta row was guarded away (NUL / oversized content):
-        # a clean no-op append
-        return "ok", []
-
-    # collision probe: ONE broadcast map over the key side table (sorted
-    # searchsorted against the delta's triples; only matches come back)
-    probe_ref = ray.put(np.sort(uniq3))
-
-    def collide(batch: pa.Table) -> pa.Table:
-        bk = _triple_keys(batch)
-        mask = pa.array(_member(ray.get(probe_ref), bk))
-        return pa.table({
-            "k3": pa.array(bk, pa.string()).filter(mask),
-            "sha": pc.cast(
-                batch.column("content_sha256"), pa.string()
-            ).filter(mask),
-        })
-
-    coll_parts = [
-        t for t in (
-            ray.get(r)
-            for r in rd.read_parquet(
-                key_files,
-                columns=["repo", "path", "commit", "content_sha256"],
-            ).map_batches(collide, batch_format="pyarrow")
-            .materialize().to_arrow_refs()
-        )
-        if t.num_rows > 0
-    ] if key_files else []
-    collided: set[str] = set()
-    for t in coll_parts:
-        for k, s in zip(
-            t.column("k3").to_pylist(), t.column("sha").to_pylist()
-        ):
-            if sha_of3.get(k) != s:
-                # the triple exists with DIFFERENT content: a change
-                return "full", None
-            collided.add(k)  # identical re-add: 'same', skip
-    return "ok", [k for k in uniq3 if k not in collided]
-
 def _parquet_files(dirs: list[str]) -> list[str]:
     return [
         os.path.join(d, f)
@@ -1296,135 +1174,104 @@ _DERIVED_COLS = ["content_sha256", "doc_id", "tokens", "shadow_tokens",
                  "n_content_tokens", "doc_len", "path_tokens", "is_test"]
 
 
-def _diff_keys(corpus, old_files: list[str],
-               batch_size: int) -> list[dict]:
-    """Generic change diff: a narrow tagged union of (repo, path, commit,
-    sha) keys from the key side table (or the pruned docs parquet for
-    pre-side-table indexes) and from the freshly guarded corpus, classified
-    per key in one sort. Only the non-'same' keys reach the driver, each
-    with status added / removed / changed, or full (null keys, or a triple
-    carried by several rows that are not all unchanged)."""
-
-    # the corpus/doc-id identity is the FULL (repo, path, commit) triple
-    # (assign_doc_ids sorts all three); the sha decides same-vs-changed
-    # per triple
-    def tag(src):
-        def run(batch: pa.Table) -> pa.Table:
-            return pa.table({
-                "repo": pc.cast(batch.column("repo"), pa.string()),
-                "path": pc.cast(batch.column("path"), pa.string()),
-                "commit": pc.cast(batch.column("commit"), pa.string()),
-                "sha": pc.cast(batch.column("content_sha256"), pa.string()),
-                "src": pa.array([src] * len(batch), pa.string()),
-            })
-        return run
-
-    new_ds = _as_dataset(corpus)
-    # the diff's guard pass only feeds narrow key rows, so large batches
-    # are safe and cut task-dispatch overhead
-    tagged_keys = new_ds.map_batches(
-        guard_batch, batch_format="pyarrow",
-        batch_size=max(batch_size, 4096),
-    ).map_batches(tag("new"), batch_format="pyarrow")
-    if old_files:  # an empty base has no docs files: every triple is new
-        tagged_keys = rd.read_parquet(
-            old_files, columns=["repo", "path", "commit", "content_sha256"],
-        ).map_batches(tag("old"), batch_format="pyarrow").union(tagged_keys)
-
-    # classify keys VECTORIZED once per block of the key-hash sort: the
-    # sort range-partitions, so every (repo, path, commit) key's rows
-    # share one block, and each block resolves all its keys with one
-    # np.unique pass (a per-key map_groups would make one Python call PER
-    # FILE)
-    def add_key_hash(batch: pa.Table) -> pa.Table:
-        # the hashed key must be NUL-FREE: pandas' siphash truncates object
-        # strings at \x00 on the multi-element path but not the 1-element
-        # path, so the same key can get different hashes depending on
-        # batch shape (observed; classify would then see one side only
-        # and report phantom added+removed pairs). \x1f keeps (repo, path)
-        # joined unambiguously for dispersion; exactness lives in classify.
-        key = pd.Series(
-            pc.replace_substring(
-                pc.binary_join_element_wise(
-                    batch.column("repo").combine_chunks(),
-                    batch.column("path").combine_chunks(),
-                    batch.column("commit").combine_chunks(),
-                    pa.scalar("\x1f"),
-                ),
-                pattern="\x00", replacement="\x1f",
-            ).to_pandas()
-        )
-        kh = pd.util.hash_pandas_object(key, index=False).to_numpy()
-        return batch.append_column(
-            "kh", pa.array(kh.view(np.int64), pa.int64())
-        )
-
-    key_schema = pa.schema(
-        [(c, pa.string()) for c in ("repo", "path", "commit", "status")]
+def classify_keys(old_keys: np.ndarray, old_shas: np.ndarray,
+                  new_keys: np.ndarray, new_shas: np.ndarray
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """The change diff's verdict on every (repo, path, commit) key
+    (\\x00-joined, ``_triple_keys``) of the stored rows (``old_*``) and the
+    guarded corpus rows (``new_*``), from the rows' content shas: same,
+    added, removed or changed, or full for a key carried by several rows
+    on either side (the rows would share one doc id). Returns the sorted
+    keys and their statuses; a null key anywhere makes the whole verdict
+    one (None, "full") pair."""
+    keys = np.concatenate([old_keys, new_keys]).astype(object)
+    if np.equal(keys, None).any():
+        return np.array([None], object), np.array(["full"], object)
+    uniq, inv = np.unique(keys, return_inverse=True)
+    sides = (inv[:len(old_keys)], inv[len(old_keys):])
+    n_old, n_new = (np.bincount(s, minlength=uniq.size) for s in sides)
+    sha_old, sha_new = (np.full(uniq.size, None, object) for _ in sides)
+    sha_old[sides[0]], sha_new[sides[1]] = old_shas, new_shas
+    return uniq, np.select(
+        [(n_old > 1) | (n_new > 1), n_old == 0, n_new == 0,
+         sha_old == sha_new],
+        ["full", "added", "removed", "same"], "changed",
     )
 
-    def classify_part(g: pa.Table) -> pa.Table:
-        # Arrow string columns in and out: Ray's block sizing logs an error
-        # for every empty pandas object column
-        empty = key_schema.empty_table()
-        if not g.num_rows:
-            return empty
-        # null-keyed rows must not vanish from the diff (the update would
-        # stamp the new fingerprint without ever seeing them)
-        nul = pc.or_(pc.or_(pc.is_null(g.column("repo")), pc.is_null(g.column("path"))),
-                     pc.is_null(g.column("commit")))
-        extra = None
-        if pc.any(nul).as_py():
-            extra = pa.table({"repo": [""], "path": [""], "commit": [""],
-                              "status": ["full"]}, schema=key_schema)
-            g = g.filter(pc.invert(nul))
-            if not g.num_rows:
-                return extra
-        cols = [g.column(c) for c in ("repo", "path", "commit", "sha")]
-        k3 = pc.binary_join_element_wise(*cols[:3], "\x00").to_numpy(
-            zero_copy_only=False)
-        k4 = pc.binary_join_element_wise(*cols, "\x00").to_numpy(
-            zero_copy_only=False)
-        uniq4, first4, inv4 = np.unique(
-            k4, return_index=True, return_inverse=True
-        )
-        is_new = pc.equal(g.column("src"), "new").to_numpy(zero_copy_only=False)
-        old_counts = np.bincount(inv4[~is_new], minlength=len(uniq4))
-        new_counts = np.bincount(inv4[is_new], minlength=len(uniq4))
-        has_old, has_new = old_counts > 0, new_counts > 0
-        _, first3, inv3 = np.unique(
-            k3[first4], return_index=True, return_inverse=True
-        )
-        k = first3.size
-        n_old = np.bincount(inv3[has_old], minlength=k)
-        n_new = np.bincount(inv3[has_new], minlength=k)
-        both = np.bincount(inv3[has_old & has_new], minlength=k)
-        # several physical rows of one (key, sha), or several shas of one
-        # key, on either side: the rows would share one doc id
-        dup = (n_old > 1) | (n_new > 1) | (np.bincount(
-            inv3[(old_counts > 1) | (new_counts > 1)], minlength=k) > 0)
-        keep = ~((n_old == both) & (n_new == both))  # not 'same'
-        if not keep.any():
-            return empty if extra is None else extra
-        status = np.where(
-            dup, "full",
-            np.where(n_old == 0, "added",
-                     np.where(n_new == 0, "removed", "changed")),
-        )[keep]
-        rows = pa.array(first4[first3[keep]])
-        out = pa.Table.from_arrays(
-            [c.take(rows) for c in cols[:3]] + [pa.array(status, pa.string())],
-            schema=key_schema,
-        )
-        return out if extra is None else pa.concat_tables([out, extra])
 
+@ray.remote
+def _block_diff_keys(table: pa.Table) -> tuple:
+    """A guarded block's triple keys, their content shas and the block's
+    distinct paths."""
+    if not table.num_rows:
+        return (np.array([], object),) * 3
     return (
-        tagged_keys
-        .map_batches(add_key_hash, batch_format="pyarrow")
-        .sort("kh")
-        .map_batches(classify_part, batch_format="pyarrow", batch_size=None)
-        .take_all()
+        _triple_keys(table),
+        table.column("content_sha256").to_numpy(zero_copy_only=False),
+        pc.unique(pc.cast(table.column("path"), pa.string()))
+        .to_numpy(zero_copy_only=False),
     )
+
+
+def _diff(paths: IndexPaths, corpus, recorded: dict | None,
+          listing: dict | None, n_docs: int, batch_size: int):
+    """The update's change diff: guard the corpus rows that can have
+    changed, pull their narrow keys with one Ray task per guarded block,
+    and classify them against the stored key side table on the driver
+    (``classify_keys``).
+
+    When the manifest's per-file (size, mtime_ns) records show every
+    recorded corpus file unchanged, only the new files are guarded and
+    every stored key survives: only the stored key rows whose path occurs
+    among the new rows are read, and they count on the corpus side too
+    (their unchanged files still hold them), so a new row of a stored
+    triple is a duplicate. Otherwise the whole corpus is guarded and the
+    whole key table is read.
+
+    Returns the sorted keys of each status but same, the stored keys read,
+    the guarded blocks as (ref, triple keys) pairs and the number of corpus
+    rows guarded. When the keys to pull would exceed DRIVER_KEY_SORT_MAX,
+    nothing is guarded or read and the verdict is full.
+    """
+    append = listing is not None and recorded is not None and all(
+        listing.get(f) == sig for f, sig in recorded.items()
+    )
+    if append:
+        files = sorted(set(listing) - set(recorded))
+        src = rd.read_parquet([os.path.join(corpus, f) for f in files]) \
+            if files else None
+    else:
+        src = _as_dataset(corpus)
+    # a parquet source counts its rows from the footers, reading no data
+    n_new = src.count() if src is not None else 0
+    if n_new + (0 if append else n_docs) > DRIVER_KEY_SORT_MAX:
+        return {"full": np.array([], object)}, np.array([], object), [], 0
+    refs = src.map_batches(
+        guard_batch, batch_format="pyarrow", batch_size=max(batch_size, 4096)
+    ).materialize().to_arrow_refs() if n_new else []
+    pulled = ray.get([_block_diff_keys.remote(r) for r in refs])
+
+    def cat(i: int) -> np.ndarray:
+        return np.concatenate([np.array([], object), *(p[i] for p in pulled)])
+
+    new_keys, new_shas = cat(0), cat(1)
+    old_keys = old_shas = np.array([], object)
+    key_files = _parquet_files(paths.keys_dirs())
+    if key_files and (new_keys.size or not append):
+        old = pads.dataset(key_files).to_table(
+            columns=["repo", "path", "commit", "content_sha256"],
+            filter=(pc.field("path").isin(pa.array(cat(2), pa.string()))
+                    if append else None),
+        )
+        old_keys = _triple_keys(old)
+        old_shas = old.column("content_sha256").to_numpy(zero_copy_only=False)
+    if append:
+        new_keys = np.concatenate([new_keys, old_keys])
+        new_shas = np.concatenate([new_shas, old_shas])
+    keys, status = classify_keys(old_keys, old_shas, new_keys, new_shas)
+    by_status = {s: keys[status == s] for s in set(status) - {"same"}}
+    return (by_status, old_keys, [(r, p[0]) for r, p in zip(refs, pulled)],
+            n_new)
 
 
 def update_index(corpus, out_dir: str, *, batch_size: int = 256,
@@ -1433,16 +1280,18 @@ def update_index(corpus, out_dir: str, *, batch_size: int = 256,
     """Incrementally update an existing index to match ``corpus``.
 
     The reference has no persistent index (probe re-scans per query); this
-    is the engine's own index-maintenance path. A change diff classifies
-    every (repo, path, commit) key as same, added, changed or removed, and
-    the update takes one of three paths, recorded as ``mode`` in
-    ``stats.json["metrics"]["last_update"]`` with ``reused_docs``,
-    ``tokenized_docs`` and ``stage_sec`` (diff included):
+    is the engine's own index-maintenance path. A change diff (``_diff``)
+    classifies every (repo, path, commit) key as same, added, changed or
+    removed, and the update takes one of three paths, recorded as ``mode``
+    in ``stats.json["metrics"]["last_update"]`` with ``reused_docs``,
+    ``tokenized_docs``, ``guarded_docs`` (the corpus rows the diff guarded)
+    and ``stage_sec`` (diff included):
 
     - **append** (added keys only — the full doc identity triple, so a new
       commit of an existing path is an addition even when its content sha
-      is unchanged): the new docs are tokenized and committed as a new
-      GENERATION ``updates/gen-K/`` holding their docs files, one
+      is unchanged): the new docs are tokenized from the diff's guarded
+      blocks and committed as a new GENERATION ``updates/gen-K/`` holding
+      their docs files, one
       compacted posting-segment file per shard (same term-hash shards and
       hot-term salt scheme as the base build), a doc_lens slice, a key
       side table and a full stats.json snapshot; ngram-indexed builds
@@ -1467,21 +1316,10 @@ def update_index(corpus, out_dir: str, *, batch_size: int = 256,
       ``build_index`` (``out_dir.tmp -> out_dir`` rename, resumable stage
       ledger): a crash before the rename leaves the old index serving.
     - **full** ``build_index`` from the corpus: no or incomplete manifest,
-      a docs schema version mismatch, null keys, a triple carried by
-      several rows, corpus columns that differ from the stored docs', or
-      more keys than the driver sorts (``DRIVER_KEY_SORT_MAX``).
-
-    The diff runs at two speeds:
-
-    - **append-only fast path**: when the manifest's per-corpus-file
-      (size, mtime_ns) records prove every previously-indexed parquet
-      file untouched, only the NEW files are guarded and their keys are
-      collision-probed against the stored key side table with one
-      broadcast map — diff cost scales with the delta. Driver state is the
-      delta's keys, capped at ``_APPEND_DRIVER_KEYS_MAX``.
-    - **generic diff** (``_diff_keys``): one sort over the narrow keys of
-      the key side table and the freshly guarded corpus; only the
-      non-same keys reach the driver.
+      a docs schema version mismatch, no key side table, null keys, a
+      triple carried by several rows, corpus columns that differ from the
+      stored docs', or more keys than the driver sorts
+      (``DRIVER_KEY_SORT_MAX``).
     """
     paths = IndexPaths(out_dir)
     manifest = _read_manifest(paths)
@@ -1503,17 +1341,20 @@ def update_index(corpus, out_dir: str, *, batch_size: int = 256,
         return paths  # already at this corpus
 
     st = _Stages()  # this update's stage times, the diff's included
+    guarded = 0  # corpus rows the diff guarded
 
     def rebuild(write_docs, **last_update) -> IndexPaths:
         return _build(out_dir, params, fp, listing, write_docs,
                       batch_size=batch_size, _fail_after=_fail_after,
-                      last_update=dict(last_update, stage_sec=st.sec))
+                      last_update=dict(last_update, guarded_docs=guarded,
+                                       stage_sec=st.sec))
 
     def full() -> IndexPaths:
         return rebuild(_corpus_docs(corpus, batch_size), mode="full",
                        reused_docs=0)
 
-    if not complete or old.get("schema_version") != DOCS_SCHEMA_VERSION:
+    if not complete or old.get("schema_version") != DOCS_SCHEMA_VERSION \
+            or not all(os.path.isdir(d) for d in paths.keys_dirs()):
         return full()
 
     # sweep stale uncommitted generations (crash leftovers)
@@ -1522,50 +1363,17 @@ def update_index(corpus, out_dir: str, *, batch_size: int = 256,
             if g.endswith(".tmp"):
                 shutil.rmtree(os.path.join(paths.updates_dir, g))
 
-    # ---- append-only fast path ------------------------------------------
-    # The dominant incremental shape is "new parquet files appended to an
-    # otherwise untouched corpus dir". The manifest's per-file
-    # (size, mtime_ns) records prove every previously-indexed corpus file
-    # is byte-identical, so no old key can be removed or changed except by
-    # key COLLISION from a new file — the whole diff reduces to guarding
-    # only the NEW files and one broadcast collision probe against the
-    # stored key side table.
-    added: list[str] | None = None  # \x00-joined keys
-    new_files_only: list[str] | None = None
-    recorded = manifest.get("corpus_files")
-    if listing is not None and recorded is not None and all(
-        listing.get(f) == sig for f, sig in recorded.items()
-    ):
-        fresh = sorted(set(listing) - set(recorded))
-        new_files_only = [os.path.join(corpus, f) for f in fresh]
-        with st.timed("diff_append_only"):
-            mode, fast_added = _append_only_added(paths, new_files_only)
-        if mode == "full":
-            return full()
-        if mode == "ok":
-            added = fast_added
-        else:  # "fallback": no key side table / delta too large
-            new_files_only = None
-
-    if added is None:
-        old_files = _parquet_files(
-            paths.keys_dirs()
-            if all(os.path.isdir(d) for d in paths.keys_dirs())
-            else paths.docs_paths()
+    with st.timed("diff"):
+        by_status, old_keys, blocks, guarded = _diff(
+            paths, corpus, manifest.get("corpus_files"), listing,
+            int(stats["n_docs"]), batch_size,
         )
-        with st.timed("diff"):
-            delta = _diff_keys(corpus, old_files, batch_size)
-        by_status: dict[str, list[str]] = {}
-        for r in delta:
-            by_status.setdefault(r["status"], []).append(
-                "\x00".join((r["repo"], r["path"], r["commit"]))
-            )
+    if set(by_status) - {"added"}:
+        del blocks  # only an append writes from the guarded blocks
         if "full" in by_status:
             return full()
-        if "changed" in by_status or "removed" in by_status:
-            return _renumber(paths, _as_dataset(corpus), old_files,
-                             by_status, stats, rebuild, full, batch_size)
-        added = by_status.get("added", [])
+        return _renumber(paths, _as_dataset(corpus), old_keys, by_status,
+                         rebuild, full, batch_size)
 
     def commit_manifest() -> None:
         # the updates history is DERIVED from the committed generations on
@@ -1573,8 +1381,7 @@ def update_index(corpus, out_dir: str, *, batch_size: int = 256,
         # a crash between the gen rename and this write, or a no-op repair
         # call, can never record a phantom or miss a real generation
         manifest["fingerprint"] = fp
-        # per-file corpus records keep the NEXT update on the append-only
-        # fast path
+        # per-file corpus records let the NEXT update guard only new files
         manifest["corpus_files"] = listing
         hist = []
         for g in paths.update_gens():
@@ -1591,7 +1398,7 @@ def update_index(corpus, out_dir: str, *, batch_size: int = 256,
         os.replace(tmp_m, paths.manifest_path)
 
     gen_k = len(paths.update_gens())
-    if not added:
+    if "added" not in by_status:
         # pure fingerprint repair (e.g. crash between gen commit and
         # manifest write, or a no-op corpus touch)
         commit_manifest()
@@ -1602,18 +1409,14 @@ def update_index(corpus, out_dir: str, *, batch_size: int = 256,
     gen_tmp = IndexPaths(gen_final + ".tmp")
     os.makedirs(gen_tmp.root)
     offset = int(stats["n_docs"])
-    added_ref = ray.put(np.sort(np.array(added, dtype=object)))
-    # the append-only fast path never re-reads the untouched files
-    src_ds = (rd.read_parquet(new_files_only) if new_files_only is not None
-              else _as_dataset(corpus))
-    # key filter on the RAW corpus rows, BEFORE guard: only added files
-    # pay the guard's sha over their content
+    # the added rows of the guarded blocks, numbered from n_docs in key
+    # order; a block without one writes no file
+    keys = [k for _, k in blocks]
+    ids = _dense_ids(keys, _member(by_status["added"], np.concatenate(
+        [np.array([], object), *keys])), first=offset)
     st.write_dir("docs", gen_tmp.docs_dir, lambda p: _write_docs(
-        [(r, offset) for r in src_ds
-         .map_batches(_filter_keys(added_ref), batch_format="pyarrow")
-         .map_batches(guard_batch, batch_format="pyarrow", batch_size=batch_size)
-         .materialize().to_arrow_refs()],
-        added_ref, batch_size, p,
+        [(r, i) for (r, _), i in zip(blocks, ids) if (i >= 0).any()],
+        batch_size, p,
     ))
     tail = _write_tail(
         gen_tmp, st, n_shards=int(stats["n_shards"]),
@@ -1633,7 +1436,7 @@ def update_index(corpus, out_dir: str, *, batch_size: int = 256,
             stats.get("metrics", {}),
             last_update=dict(gen=gen_k, added=m_docs, mode="append",
                              reused_docs=offset, tokenized_docs=m_docs,
-                             stage_sec=st.sec),
+                             guarded_docs=guarded, stage_sec=st.sec),
         ),
     ))
 
@@ -1664,24 +1467,21 @@ def update_index(corpus, out_dir: str, *, batch_size: int = 256,
     return paths
 
 
-def _renumber(paths: IndexPaths, src_ds, old_files: list[str],
-              by_status: dict[str, list[str]], stats: dict, rebuild, full,
+def _renumber(paths: IndexPaths, src_ds, old_keys: np.ndarray,
+              by_status: dict[str, np.ndarray], rebuild, full,
               batch_size: int) -> IndexPaths:
     """The renumbering rebuild of ``update_index``: the stored docs rows of
     unchanged keys plus the guarded, tokenized corpus rows of changed and
     added keys, with doc ids reassigned from the sorted key list. Only
-    keys reach the driver."""
-    dropped = np.sort(np.array(
-        by_status.get("changed", []) + by_status.get("removed", []),
-        dtype=object,
+    keys reach the driver: the diff's stored keys and its statuses."""
+    none = np.array([], object)
+    dropped = np.sort(np.concatenate(
+        [by_status.get("changed", none), by_status.get("removed", none)]
     ))
-    picked = np.sort(np.array(
-        by_status.get("changed", []) + by_status.get("added", []),
-        dtype=object,
+    picked = np.sort(np.concatenate(
+        [by_status.get("changed", none), by_status.get("added", none)]
     ))
     docs_files = _parquet_files(paths.docs_paths())
-    if int(stats["n_docs"]) + picked.size > DRIVER_KEY_SORT_MAX:
-        return full()
     if docs_files:
         # the reused rows and the fresh rows go into one docs table: a
         # corpus whose columns changed needs the full build
@@ -1689,12 +1489,6 @@ def _renumber(paths: IndexPaths, src_ds, old_files: list[str],
         want = list(src_ds.schema().names) + _DERIVED_COLS
         if any(pq.read_schema(f).names != want for f in docs_files):
             return full()
-        old_keys = _triple_keys(pa.concat_tables([
-            pq.read_table(f, columns=["repo", "path", "commit"])
-            for f in old_files
-        ]))
-    else:
-        old_keys = np.array([], dtype=object)
     kept = ~_member(dropped, old_keys)
     keys_ref = ray.put(np.sort(np.concatenate([old_keys[kept], picked])))
     dropped_ref, picked_ref = ray.put(dropped), ray.put(picked)

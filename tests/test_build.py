@@ -449,3 +449,57 @@ def test_docs_written_one_file_per_block(ray_session, tmp_path):
     empty = build_index(str(nul), str(tmp_path / "empty"))
     assert empty.stats()["n_docs"] == 0
     assert glob.glob(empty.docs_dir + "/*.parquet") == []
+
+
+@pytest.mark.parametrize("driver_key_sort_max", [None, 0])
+def test_duplicate_triples_get_distinct_oracle_ids(ray_session, tmp_path,
+                                                   monkeypatch,
+                                                   driver_key_sort_max):
+    """A byte-identical row in two corpus files and one triple with two
+    different contents get dense, distinct doc ids in ``oracle.load_docs``
+    order (key order, equal keys in file then row order), from the driver
+    key sort and from the distributed sort; docs rows and search results
+    match the oracle."""
+    import pyarrow as pa
+    import pyarrow.dataset as pads
+
+    import probe_ray.build as B
+    from probe_ray.oracle import load_docs, oracle_search_docs
+    from probe_ray.search import Engine
+
+    if driver_key_sort_max is not None:
+        monkeypatch.setattr(B, "DRIVER_KEY_SORT_MAX", driver_key_sort_max)
+
+    def row(path, content):
+        return dict(repo="org/app", path=path, commit="c" * 40, lang="rust",
+                    content=content)
+
+    files = [
+        [row("src/a.rs", "fn alpha() { shared_call(); }\n"),
+         row("src/x.rs", "fn shared_call() {}\n"),
+         row("src/y.rs", "fn first_variant() { shared_call(); }\n")],
+        [row("src/y.rs", "fn second_variant() {}\n"),
+         row("src/x.rs", "fn shared_call() {}\n"),
+         row("src/z.rs", "fn zeta() { second_variant(); }\n")],
+    ]
+    cdir = tmp_path / "corpus"
+    cdir.mkdir()
+    for i, rows in enumerate(files):
+        pq.write_table(pa.Table.from_pylist(rows),
+                       str(cdir / f"part-{i}.parquet"))
+    paths = B.build_index(str(cdir), str(tmp_path / "idx"))
+
+    docs = load_docs(files[0] + files[1])
+    cols = ["doc_id", "repo", "path", "commit", "content", "content_sha256"]
+    got = pads.dataset(paths.docs_dir).to_table(columns=cols).sort_by(
+        "doc_id").to_pylist()
+    assert [r["doc_id"] for r in got] == list(range(6))
+    assert got == [{c: getattr(d, c) for c in cols} for d in docs]
+
+    eng = Engine(paths)
+    for queries in (["shared_call"], ["variant"], ["second_variant OR fn"]):
+        res = eng.search(queries, max_results=20)
+        want = oracle_search_docs(docs, queries, max_results=20)
+        assert res.column("doc_id").to_pylist() == [r.doc_id for r in want]
+        assert np.allclose(res.column("score").to_pylist(),
+                           [r.score for r in want], atol=1e-9), queries

@@ -318,3 +318,80 @@ def test_hot_term_sample_matches_reference_loop(files, frac, sample_rows):
     want = _hot_terms_loop([r for rows in files for r in rows], frac,
                            sample_rows)
     assert got == want
+
+
+# (repo, path, commit, sha) rows over a tiny alphabet, so re-adds, new
+# commits of one path and duplicate rows all come up; about one row in 32
+# has a null repo or commit, so most examples hold no null key
+_key_row = st.tuples(
+    st.sampled_from(["r", "q"]), st.sampled_from(["a", "b", "c"]),
+    st.sampled_from(["1", "2"]), st.sampled_from(["x", "y"]),
+    st.integers(0, 63),
+).map(lambda r: (None if r[4] == 0 else r[0], r[1],
+                 None if r[4] == 1 else r[2], r[3]))
+
+
+def _row_key(row):
+    return None if None in row[:3] else "\x00".join(row[:3])
+
+
+def _reference_verdict(old, new):
+    """Per key: full (several rows on a side), added, removed, same or
+    changed; a null key anywhere makes the verdict {None: "full"}."""
+    if any(_row_key(r) is None for r in old + new):
+        return {None: "full"}
+    shas = {}
+    for side, rows in ((0, old), (1, new)):
+        for r in rows:
+            shas.setdefault(_row_key(r), ([], []))[side].append(r[3])
+    out = {}
+    for k, (o, n) in shas.items():
+        out[k] = ("full" if len(o) > 1 or len(n) > 1 else "added" if not o
+                  else "removed" if not n else "same" if o == n
+                  else "changed")
+    return out
+
+
+def _verdict(old, new):
+    from probe_ray.build import classify_keys
+
+    def side(rows):
+        return (np.array([_row_key(r) for r in rows], object),
+                np.array([r[3] for r in rows], object))
+
+    keys, status = classify_keys(*side(old), *side(new))
+    return dict(zip(keys.tolist(), status.tolist()))
+
+
+@given(st.lists(_key_row, max_size=8), st.lists(_key_row, max_size=8))
+@settings(max_examples=200, deadline=None)
+def test_classify_keys_matches_reference(old, new):
+    """The update diff's classifier on any stored and corpus rows."""
+    assert _verdict(old, new) == _reference_verdict(old, new)
+
+
+@given(st.lists(_key_row.filter(lambda r: None not in r), max_size=8),
+       st.lists(_key_row, max_size=6))
+@settings(max_examples=200, deadline=None)
+def test_classify_keys_append_selection(stored, new_files):
+    """With every stored row's file unchanged, the diff reads only the
+    stored rows whose path occurs among the new rows and counts them on
+    both sides. On every key of those paths its verdict equals the
+    whole-corpus diff's; any other key is the same, or full in the
+    whole-corpus diff only because the stored rows already carry it twice
+    (an append leaves those rows and their distinct ids alone)."""
+    paths = {r[1] for r in new_files}
+    read = [r for r in stored if r[1] in paths]
+    got = _verdict(read, new_files + read)
+    want = _reference_verdict(stored, stored + new_files)
+    if None in want:
+        assert got == want
+        return
+    assert {k: s for k, s in got.items() if s != "same"} == {
+        k: s for k, s in want.items()
+        if s != "same" and k.split("\x00")[1] in paths
+    }
+    stored_twice = {k for k in want
+                    if sum(_row_key(r) == k for r in stored) > 1}
+    assert all(s == "same" or k in stored_twice for k, s in want.items()
+               if k.split("\x00")[1] not in paths)

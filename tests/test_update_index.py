@@ -462,9 +462,9 @@ def _dir_corpus(tmp_path, name, files):
 
 
 def test_append_only_fast_path_rank_identical(tmp_path):
-    """New parquet files appended to an untouched corpus dir take the
-    append-only diff (no full-corpus guard): stage record proves the
-    route; results stay rank-identical to the oracle."""
+    """New parquet files appended to an untouched corpus dir are the only
+    rows the diff guards (the guarded_docs count proves it); results stay
+    rank-identical to the oracle."""
     from probe_ray.build import build_index, update_index
     from probe_ray.oracle import oracle_search_docs
     from probe_ray.search import Engine
@@ -480,7 +480,7 @@ def test_append_only_fast_path_rank_identical(tmp_path):
     p = update_index(cdir, str(tmp_path / "idx"))
     assert len(p.update_gens()) == 1
     st = p.stats()["metrics"]["last_update"]
-    assert "diff_append_only" in st["stage_sec"], st["stage_sec"]
+    assert st["guarded_docs"] == 3
     assert st["added"] == 3
 
     eng = Engine(p)
@@ -492,16 +492,34 @@ def test_append_only_fast_path_rank_identical(tmp_path):
             r.doc_id for r in want
         ], queries
 
-    # second append stacks a second generation through the fast path too
+    # a second append stacks a second generation, guarding only its file
     _write(os.path.join(cdir, "part3.parquet"), _rows(2, start=80))
     p = update_index(cdir, str(tmp_path / "idx"))
     assert len(p.update_gens()) == 2
     assert p.stats()["n_docs"] == 12
+    assert p.stats()["metrics"]["last_update"]["guarded_docs"] == 2
 
 
-def test_append_only_collision_same_sha_skipped(tmp_path):
+_DOC_COLS = ["doc_id", "repo", "path", "commit", "content", "content_sha256",
+             "doc_len", "tokens", "shadow_tokens", "n_content_tokens",
+             "is_test"]
+
+
+def _docs_rows(paths):
+    """Every docs row (all generations) by doc_id."""
+    import pyarrow.dataset as pads
+
+    from probe_ray.build import _parquet_files
+
+    return pads.dataset(_parquet_files(paths.docs_paths())).to_table(
+        columns=_DOC_COLS).sort_by("doc_id").to_pylist()
+
+
+def test_append_only_collision_same_sha_matches_fresh_build(tmp_path):
     """A new file re-adding an existing (repo, path, commit) triple with
-    byte-identical content is 'same': not re-indexed, no duplicate id."""
+    byte-identical content leaves the corpus holding that row twice: the
+    update must equal a fresh build of the corpus (n_docs, docs rows by
+    doc_id), as it does after every other update."""
     from probe_ray.build import build_index, update_index
 
     cdir = _dir_corpus(tmp_path, "corpus", {"a.parquet": _rows(4)})
@@ -511,16 +529,15 @@ def test_append_only_collision_same_sha_skipped(tmp_path):
         [_rows(4)[1]] + _rows(1, start=30),  # one dup triple + one new
     )
     p = update_index(cdir, str(tmp_path / "idx"))
-    st = p.stats()["metrics"]["last_update"]
-    assert "diff_append_only" in st["stage_sec"]
-    assert st["added"] == 1
-    docs = _docs_from_index(p)
-    assert sorted(d.doc_id for d in docs) == list(range(5))
+    assert p.stats()["metrics"]["last_update"]["mode"] == "full"
+    fresh = build_index(cdir, str(tmp_path / "fresh"))
+    assert p.stats()["n_docs"] == fresh.stats()["n_docs"] == 6
+    assert _docs_rows(p) == _docs_rows(fresh)
 
 
 def test_append_only_collision_conflicting_content_rebuilds(tmp_path):
     """A new file carrying an existing triple with DIFFERENT content is a
-    change in disguise — the fast path must route to the full rebuild."""
+    change in disguise — the diff must route it to the full rebuild."""
     from probe_ray.build import build_index, update_index
 
     cdir = _dir_corpus(tmp_path, "corpus", {"a.parquet": _rows(4)})
@@ -535,9 +552,9 @@ def test_append_only_collision_conflicting_content_rebuilds(tmp_path):
 
 
 def test_modified_corpus_file_leaves_fast_path(tmp_path):
-    """Rewriting an existing corpus file (size/mtime change) must fall off
-    the append-only path; the generic diff then sees the content change
-    and rebuilds."""
+    """Rewriting an existing corpus file (size/mtime change) makes the diff
+    guard the whole corpus; it then sees the content change and
+    rebuilds."""
     from probe_ray.build import build_index, update_index
 
     cdir = _dir_corpus(tmp_path, "corpus", {"a.parquet": _rows(4)})
@@ -546,7 +563,7 @@ def test_modified_corpus_file_leaves_fast_path(tmp_path):
     rows[0]["content"] += "// changed trailer\n"
     _write(os.path.join(cdir, "a.parquet"), rows)
     p = update_index(cdir, str(tmp_path / "idx"))
-    assert p.update_gens() == []  # generic diff -> rebuild
+    assert p.update_gens() == []  # whole-corpus diff -> rebuild
     st = p.stats()
     assert st["n_docs"] == 4
     from probe_ray.search import Engine
@@ -746,11 +763,11 @@ def test_append_only_all_delta_rows_guarded_is_noop(tmp_path):
 
 def test_append_duplicate_identical_rows_rebuild(tmp_path):
     """Code-review r5: byte-identical duplicate ROWS of one new triple
-    must not share a doc id inside a generation — both diff paths route
-    them through the full rebuild."""
+    must not share a doc id inside a generation — the diff routes them
+    through the full rebuild whichever corpus rows it guards."""
     from probe_ray.build import build_index, update_index
 
-    # fast path
+    # new files only guarded
     cdir = _dir_corpus(tmp_path, "corpus", {"a.parquet": _rows(3)})
     build_index(cdir, str(tmp_path / "idx"))
     dup = _rows(1, start=60)
@@ -758,7 +775,7 @@ def test_append_duplicate_identical_rows_rebuild(tmp_path):
     p = update_index(cdir, str(tmp_path / "idx"))
     assert p.update_gens() == []  # rebuilt, not appended
 
-    # generic path (single-file corpus -> no fast path)
+    # whole corpus guarded (a single-file corpus has no per-file records)
     c1 = tmp_path / "c1.parquet"
     _write(c1, _rows(3))
     build_index(str(c1), str(tmp_path / "idx2"))
@@ -771,7 +788,10 @@ def test_append_duplicate_identical_rows_rebuild(tmp_path):
 def test_write_path_runs_each_map_once(tmp_path, monkeypatch):
     """A lazy map's ``to_arrow_refs()`` runs the map again under a limit to
     fetch the schema, then cancels that run: no Ray Data job of a build, an
-    append update or a changed-file update may carry such a limit."""
+    append update or a changed-file update may carry such a limit. Each
+    update runs one sort, the posting shuffle (its diff runs none), and an
+    append runs four Ray Data jobs: the diff's guard and the tail's key
+    table, doc lengths and segments."""
     from ray.data._internal.execution import streaming_executor as se
 
     from probe_ray.build import build_index, update_index
@@ -786,13 +806,66 @@ def test_write_path_runs_each_map_once(tmp_path, monkeypatch):
     monkeypatch.setattr(se.StreamingExecutor, "execute", record)
     cdir = _dir_corpus(tmp_path, "corpus", {"a.parquet": _rows(6)})
     build_index(cdir, str(tmp_path / "idx"))
+    n_build = len(plans)
     _write(os.path.join(cdir, "b.parquet"), _rows(3, start=40))
     assert update_index(cdir, str(tmp_path / "idx")).stats()["metrics"][
         "last_update"]["mode"] == "append"
+    append = plans[n_build:]
     rows = _rows(6)
     rows[2]["content"] += "// one change\n"
     _write(os.path.join(cdir, "a.parquet"), rows)
     assert update_index(cdir, str(tmp_path / "idx")).stats()["metrics"][
         "last_update"]["mode"] == "renumber"
+    change = plans[n_build + len(append):]
     assert plans
     assert not [p for p in plans if "limit=1" in p], plans
+    assert len(append) == 4, append
+    for update in (append, change):
+        assert sum(p.count("AllToAllOperator[Sort]") for p in update) == 1, \
+            update
+
+
+def test_update_past_driver_key_cap_runs_full_build(tmp_path, monkeypatch):
+    """Past DRIVER_KEY_SORT_MAX the diff pulls no keys: the update takes
+    the full build and equals a fresh build of the corpus."""
+    import probe_ray.build as B
+
+    cdir = _dir_corpus(tmp_path, "corpus", {"a.parquet": _rows(5)})
+    B.build_index(cdir, str(tmp_path / "idx"))
+    monkeypatch.setattr(B, "DRIVER_KEY_SORT_MAX", 1)
+    _write(os.path.join(cdir, "b.parquet"), _rows(2, start=40))
+    p = B.update_index(cdir, str(tmp_path / "idx"))
+    assert p.stats()["metrics"]["last_update"]["mode"] == "full"
+    assert p.update_gens() == []
+    fresh = B.build_index(cdir, str(tmp_path / "fresh"))
+    assert p.stats()["n_docs"] == fresh.stats()["n_docs"] == 7
+    assert _docs_rows(p) == _docs_rows(fresh)
+
+
+def test_same_size_rewrite_within_a_second_is_indexed(tmp_path):
+    """A corpus file rewritten at the same size with an mtime 1 us later
+    is a new corpus: update_index and build_index both index the new
+    content."""
+    from probe_ray.build import build_index, update_index
+    from probe_ray.search import Engine
+
+    def write(content):
+        pq.write_table(pa.Table.from_pylist([dict(
+            repo="org/app", path="src/a.rs", commit="0" * 40, lang="rust",
+            content=content,
+        )]), str(c), compression="none")
+
+    c = tmp_path / "c.parquet"
+    write("fn alpha() {}")
+    idx, other = str(tmp_path / "idx"), str(tmp_path / "other")
+    build_index(str(c), idx)
+    build_index(str(c), other)
+    st = os.stat(c)
+    write("fn omega() {}")
+    os.utime(c, ns=(st.st_atime_ns, st.st_mtime_ns + 1000))
+    assert os.stat(c).st_size == st.st_size
+
+    for p in (update_index(str(c), idx), build_index(str(c), other)):
+        eng = Engine(p)
+        assert eng.search(["omega"]).num_rows == 1
+        assert eng.search(["alpha"]).num_rows == 0
